@@ -175,9 +175,9 @@ def save_mesh(mesh: TriMesh, path) -> None:
     reproduces vertices bit-exactly.
     """
     lines = []
-    for x, y, z in mesh.vertices:
-        lines.append(f"v {float(x)!r} {float(y)!r} {float(z)!r}")
-    for a, b, c in mesh.faces:
+    for x, y, z in mesh.vertices.tolist():
+        lines.append(f"v {x!r} {y!r} {z!r}")
+    for a, b, c in mesh.faces.tolist():
         lines.append(f"f {a + 1} {b + 1} {c + 1}")
     lines.append("")
     with open(path, "w", encoding="utf-8") as fh:
@@ -193,8 +193,11 @@ def boundary_edges(mesh: TriMesh) -> np.ndarray:
     f = mesh.faces
     edges = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]], axis=0)
     edges = np.sort(edges, axis=1)
-    uniq, counts = np.unique(edges, axis=0, return_counts=True)
-    return uniq[counts != 2]
+    # one int64 key per edge sorts like the (lo, hi) rows, far faster than unique(axis=0)
+    n = mesh.n_vertices
+    keys, counts = np.unique(edges[:, 0] * n + edges[:, 1], return_counts=True)
+    bad = keys[counts != 2]
+    return np.stack([bad // n, bad % n], axis=1)
 
 
 def is_closed(mesh: TriMesh) -> bool:

@@ -8,15 +8,13 @@ validation split.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import sidecar
 from .errors import DataError, NumericalError
-
-FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -243,75 +241,18 @@ def train(dataset, cfg: TrainConfig, n_hidden: int = 256) -> tuple[MlpParams, Tr
 # (<stem>.mlp.json / <stem>.mlp.bin; payload order W1, b1, W2, b2 row-major).
 
 
-def _weight_paths(path) -> tuple[Path, Path]:
-    p = Path(path)
-    name = p.name
-    for suffix in (".mlp.json", ".mlp.bin", ".mlp"):
-        if name.endswith(suffix):
-            name = name[: -len(suffix)]
-            break
-    stem = p.with_name(name)
-    return stem.with_name(stem.name + ".mlp.json"), stem.with_name(stem.name + ".mlp.bin")
-
-
 def save_weights(params: MlpParams, path) -> tuple[Path, Path]:
-    manifest_path, payload_path = _weight_paths(path)
-    arrays = [("w1", params.w1), ("b1", params.b1), ("w2", params.w2), ("b2", params.b2)]
-    offsets = {}
-    blob = bytearray()
-    cursor = 0
-    for name, arr in arrays:
-        data = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-        offsets[name] = {"offset": cursor, "count": int(arr.size)}
-        blob.extend(data)
-        cursor += len(data)
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "n_inputs": params.n_inputs,
-        "n_hidden": params.n_hidden,
-        "n_outputs": params.n_outputs,
-        "payload": offsets,
-        "dtype": "<f8",
-    }
-    manifest_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, separators=(",", ":"))
-    with open(payload_path, "wb") as fh:
-        fh.write(bytes(blob))
-    return manifest_path, payload_path
+    header = {"n_inputs": params.n_inputs, "n_hidden": params.n_hidden, "n_outputs": params.n_outputs}
+    arrays = [(name, getattr(params, name)) for name in ("w1", "b1", "w2", "b2")]
+    return sidecar.save(path, "mlp", header, arrays)
+
+
+def _weight_shapes(manifest: dict) -> dict:
+    d, h, k = int(manifest["n_inputs"]), int(manifest["n_hidden"]), int(manifest["n_outputs"])
+    return {"w1": (h, d), "b1": (h,), "w2": (k, h), "b2": (k,)}
 
 
 def load_weights(path) -> MlpParams:
-    manifest_path, payload_path = _weight_paths(path)
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read weights manifest {manifest_path}: {exc}") from exc
-    if manifest.get("format_version") != FORMAT_VERSION:
-        raise DataError(f"unsupported weights format_version {manifest.get('format_version')!r}")
-    d = int(manifest["n_inputs"])
-    h = int(manifest["n_hidden"])
-    k = int(manifest["n_outputs"])
-    expected = {"w1": h * d, "b1": h, "w2": k * h, "b2": k}
-    payload = manifest["payload"]
-    for name, count in expected.items():
-        if name not in payload or int(payload[name]["count"]) != count:
-            raise DataError(f"weights manifest inconsistent for {name!r}")
-    try:
-        raw = payload_path.read_bytes()
-    except OSError as exc:
-        raise DataError(f"cannot read weights payload {payload_path}: {exc}") from exc
-    if len(raw) != 8 * sum(expected.values()):
-        raise DataError(f"weights payload truncated ({len(raw)} bytes)")
-
-    def read_array(name, shape):
-        off = int(payload[name]["offset"])
-        cnt = int(np.prod(shape))
-        return np.frombuffer(raw, dtype="<f8", count=cnt, offset=off).astype(np.float64).reshape(shape)
-
-    return MlpParams(
-        read_array("w1", (h, d)),
-        read_array("b1", (h,)),
-        read_array("w2", (k, h)),
-        read_array("b2", (k,)),
-    )
+    """Weights as read-only views of the memory-mapped sidecar."""
+    _, arrays = sidecar.load(path, "mlp", "weights", _weight_shapes)
+    return MlpParams(**arrays)

@@ -8,20 +8,17 @@ standardized scores throughout the toolkit.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import sidecar
 from .errors import DataError, NumericalError
 from .mesh import TriMesh
 
-FORMAT_VERSION = 1
-
 # Score scales use the population std (divisor N): with centred rows the
 # k-th singular value satisfies sigma_k = s_k / sqrt(N).
-_SCORE_STD_DIVISOR_NOTE = "population std, divisor N"
 
 
 @dataclass(frozen=True)
@@ -162,104 +159,37 @@ def reconstruct(space: ShapeSpace, params: np.ndarray) -> TriMesh:
 
 
 # ---------------------------------------------------------------------------
-# Persistence: JSON manifest + little-endian float64 binary sidecar
-# (<stem>.ssm.json / <stem>.ssm.bin). The sidecar holds mean, components
-# (column-major) and score scales at the byte offsets named in the manifest.
-
-
-def _ssm_paths(path) -> tuple[Path, Path]:
-    p = Path(path)
-    name = p.name
-    for suffix in (".ssm.json", ".ssm.bin", ".ssm"):
-        if name.endswith(suffix):
-            name = name[: -len(suffix)]
-            break
-    stem = p.with_name(name)
-    return stem.with_name(stem.name + ".ssm.json"), stem.with_name(stem.name + ".ssm.bin")
+# Persistence: JSON manifest + little-endian float64 sidecar (see sidecar.py),
+# <stem>.ssm.json / <stem>.ssm.bin. The sidecar holds mean, components
+# (column-major, i.e. the row-major (K, 3M) transpose) and score scales.
 
 
 def save_ssm(space: ShapeSpace, path) -> tuple[Path, Path]:
     """Write the manifest/sidecar pair; ``path`` may be a stem or either file."""
-    manifest_path, payload_path = _ssm_paths(path)
-    arrays = [
-        ("mean", space.mean),
-        ("components", np.asfortranarray(space.components).ravel(order="F")),
-        ("score_scale", space.score_scale),
-    ]
-    offsets = {}
-    cursor = 0
-    blob = bytearray()
-    for name, arr in arrays:
-        data = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-        offsets[name] = {"offset": cursor, "count": int(arr.size)}
-        blob.extend(data)
-        cursor += len(data)
-    manifest = {
-        "format_version": FORMAT_VERSION,
+    header = {
         "n_vertices": space.n_vertices,
         "n_population": space.n_population,
         "n_components": space.n_components,
         "faces": space.faces.tolist(),
-        "payload": offsets,
-        "dtype": "<f8",
     }
-    manifest_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, separators=(",", ":"))
-    with open(payload_path, "wb") as fh:
-        fh.write(bytes(blob))
-    return manifest_path, payload_path
+    arrays = [("mean", space.mean), ("components", space.components.T), ("score_scale", space.score_scale)]
+    return sidecar.save(path, "ssm", header, arrays)
+
+
+def _ssm_shapes(manifest: dict) -> dict:
+    m, k = int(manifest["n_vertices"]), int(manifest["n_components"])
+    return {"mean": (3 * m,), "components": (k, 3 * m), "score_scale": (k,)}
 
 
 def load_ssm(path) -> ShapeSpace:
     """Load a manifest/sidecar pair written by save_ssm.
 
     Fails loudly (no partial object) on version mismatch, truncated payload
-    or manifest/payload dimension inconsistencies.
+    or manifest/payload dimension inconsistencies. The arrays are read-only
+    views of the memory-mapped sidecar.
     """
-    manifest_path, payload_path = _ssm_paths(path)
-    try:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read shape space manifest {manifest_path}: {exc}") from exc
-    if manifest.get("format_version") != FORMAT_VERSION:
-        raise DataError(
-            f"unsupported shape space format_version {manifest.get('format_version')!r} "
-            f"(expected {FORMAT_VERSION})"
-        )
-    m = int(manifest["n_vertices"])
-    n = int(manifest["n_population"])
-    k = int(manifest["n_components"])
-    expected = {"mean": 3 * m, "components": 3 * m * k, "score_scale": k}
-    payload = manifest["payload"]
-    for name, count in expected.items():
-        if name not in payload:
-            raise DataError(f"manifest payload missing {name!r}")
-        if int(payload[name]["count"]) != count:
-            raise DataError(
-                f"manifest inconsistency: {name} holds {payload[name]['count']} values, "
-                f"dimensions require {count}"
-            )
-    try:
-        raw = payload_path.read_bytes()
-    except OSError as exc:
-        raise DataError(f"cannot read shape space payload {payload_path}: {exc}") from exc
-    total_bytes = 8 * sum(expected.values())
-    if len(raw) != total_bytes:
-        raise DataError(
-            f"payload {payload_path} is {len(raw)} bytes, expected {total_bytes} (truncated or stale)"
-        )
-
-    def read_array(name: str) -> np.ndarray:
-        off = int(payload[name]["offset"])
-        cnt = int(payload[name]["count"])
-        if off < 0 or off + 8 * cnt > len(raw):
-            raise DataError(f"payload slice for {name!r} out of bounds")
-        return np.frombuffer(raw, dtype="<f8", count=cnt, offset=off).astype(np.float64)
-
-    mean = read_array("mean")
-    components = read_array("components").reshape(3 * m, k, order="F")
-    score_scale = read_array("score_scale")
+    manifest, arrays = sidecar.load(path, "ssm", "shape space", _ssm_shapes)
     faces = np.asarray(manifest["faces"], dtype=np.int64).reshape(-1, 3)
-    return ShapeSpace(mean, components, score_scale, faces, n)
+    return ShapeSpace(
+        arrays["mean"], arrays["components"].T, arrays["score_scale"], faces, int(manifest["n_population"])
+    )

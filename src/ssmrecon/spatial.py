@@ -166,6 +166,9 @@ class SurfaceIndex:
             return best_pt, best_d
         flat_faces = np.concatenate([np.asarray(b, dtype=np.int64) for b in balls if len(b)])
         owners = np.repeat(np.arange(n), counts)
+        # faces the k-NN pass already tested cannot beat best_d strictly
+        fresh = ~(knn_idx[owners] == flat_faces[:, None]).any(axis=1)
+        owners, flat_faces = owners[fresh], flat_faces[fresh]
         cand = closest_on_triangles(p[owners], self.tri[flat_faces])
         d = np.linalg.norm(cand - p[owners], axis=1)
         order = np.argsort(d, kind="stable")

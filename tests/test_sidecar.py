@@ -1,0 +1,161 @@
+"""The shared manifest + sidecar I/O, and the mesh and query fast paths."""
+import numpy as np
+import pytest
+
+from ssmrecon import mesh as M
+from ssmrecon.errors import DataError
+from ssmrecon.regressor import MlpParams, init_params, load_weights, save_weights
+from ssmrecon.shape_space import build_ssm, load_ssm, save_ssm
+from ssmrecon.spatial import SurfaceIndex, closest_points_brute
+
+
+@pytest.fixture(scope="module")
+def space20(aligned_population_20):
+    return build_ssm(aligned_population_20, 10)
+
+
+def _fields(params: MlpParams) -> list[np.ndarray]:
+    return [params.w1, params.b1, params.w2, params.b2]
+
+
+# ---------------------------------------------------------------------------
+# Sidecar I/O
+
+
+def test_overwrite_keeps_loaded_weights_and_leaves_no_tmp(tmp_path):
+    old = init_params(20, 6, 4, seed=8)
+    new = init_params(20, 6, 4, seed=9)
+    save_weights(old, tmp_path / "net")
+    loaded = load_weights(tmp_path / "net")
+    save_weights(new, tmp_path / "net")
+    for got, want in zip(_fields(loaded), _fields(old)):
+        assert np.array_equal(got, want)
+    for got, want in zip(_fields(load_weights(tmp_path / "net")), _fields(new)):
+        assert np.array_equal(got, want)
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_overwrite_keeps_loaded_shape_space(tmp_path, space20, aligned_population_20):
+    other = build_ssm(aligned_population_20[:12], 5)
+    save_ssm(space20, tmp_path / "model")
+    loaded = load_ssm(tmp_path / "model")
+    save_ssm(other, tmp_path / "model")
+    assert np.array_equal(loaded.mean, space20.mean)
+    assert np.array_equal(loaded.components, space20.components)
+    again = load_ssm(tmp_path / "model")
+    assert np.array_equal(again.components, other.components)
+    assert again.n_population == 12
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_nan_in_weight_payload_rejected(tmp_path):
+    save_weights(init_params(20, 6, 4, seed=8), tmp_path / "net")
+    payload = tmp_path / "net.mlp.bin"
+    raw = bytearray(payload.read_bytes())
+    raw[8 * 7 : 8 * 8] = np.array([np.nan], dtype="<f8").tobytes()
+    payload.write_bytes(bytes(raw))
+    with pytest.raises(DataError, match="finite"):
+        load_weights(tmp_path / "net")
+
+
+@pytest.mark.parametrize("keep", [0, 3, -5])
+def test_odd_sized_or_empty_weight_payload_rejected(tmp_path, keep):
+    save_weights(init_params(20, 6, 4, seed=8), tmp_path / "net")
+    payload = tmp_path / "net.mlp.bin"
+    raw = payload.read_bytes()
+    payload.write_bytes(raw[:keep] if keep >= 0 else raw + bytes(-keep))
+    with pytest.raises(DataError, match="truncated"):
+        load_weights(tmp_path / "net")
+
+
+def test_empty_shape_space_payload_rejected(tmp_path, space20):
+    save_ssm(space20, tmp_path / "model")
+    (tmp_path / "model.ssm.bin").write_bytes(b"")
+    with pytest.raises(DataError, match="truncated"):
+        load_ssm(tmp_path / "model")
+
+
+def test_loaded_arrays_not_writeable(tmp_path, space20):
+    save_weights(init_params(20, 6, 4, seed=8), tmp_path / "net")
+    save_ssm(space20, tmp_path / "model")
+    space = load_ssm(tmp_path / "model")
+    for arr in _fields(load_weights(tmp_path / "net")) + [space.mean, space.components, space.score_scale]:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1.0
+
+
+def test_save_accepts_either_file_name(tmp_path):
+    params = init_params(5, 3, 2, seed=1)
+    manifest, payload = save_weights(params, tmp_path / "net.mlp.bin")
+    assert (manifest.name, payload.name) == ("net.mlp.json", "net.mlp.bin")
+    assert np.array_equal(load_weights(tmp_path / "net.mlp.json").w1, params.w1)
+
+
+# ---------------------------------------------------------------------------
+# boundary_edges keys
+
+
+def _boundary_edges_rows(mesh: M.TriMesh) -> np.ndarray:
+    """Reference: unique rows of the sorted edge list."""
+    f = mesh.faces
+    edges = np.sort(np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]], axis=0), axis=1)
+    uniq, counts = np.unique(edges, axis=0, return_counts=True)
+    return uniq[counts != 2]
+
+
+def test_boundary_edges_match_row_unique_on_holey_mesh():
+    sphere = M.icosphere(10.0, 3)
+    holey = M.TriMesh(sphere.vertices, np.delete(sphere.faces, [0, 1, 57, 200, 201, 202, 640], axis=0))
+    got = M.boundary_edges(holey)
+    want = _boundary_edges_rows(holey)
+    assert len(want) > 6
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert not M.is_closed(holey)
+
+
+def test_boundary_edges_closed_and_empty():
+    assert M.boundary_edges(M.icosphere(1.0, 2)).shape == (0, 2)
+    empty = M.TriMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
+    assert M.boundary_edges(empty).shape == (0, 2)
+
+
+# ---------------------------------------------------------------------------
+# SurfaceIndex against the brute-force oracle
+
+
+def _cube_row(n: int = 4, edge: float = 30.0) -> M.TriMesh:
+    """Disjoint cubes along x: enough faces for the accelerated path, many ties."""
+    parts = [M.cube(edge, origin=(100.0 * i, 0.0, 0.0)) for i in range(n)]
+    vertices = np.concatenate([c.vertices for c in parts])
+    faces = np.concatenate([c.faces + 8 * i for i, c in enumerate(parts)])
+    return M.TriMesh(vertices, faces)
+
+
+def _assert_matches_brute(mesh: M.TriMesh, points: np.ndarray) -> None:
+    index = SurfaceIndex(mesh)
+    assert len(index.tri) > 32  # not the brute-force fallback
+    fast_pt, fast_d = index.query(points)
+    brute_pt, brute_d = closest_points_brute(points, mesh)
+    np.testing.assert_allclose(fast_d, brute_d, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(fast_pt, brute_pt, rtol=0, atol=1e-9)
+
+
+def test_query_matches_brute_at_shared_vertices_and_edges():
+    mesh = _cube_row()
+    tri = mesh.triangle_corners()
+    midpoints = np.concatenate([(tri[:, 0] + tri[:, 1]) / 2, (tri[:, 1] + tri[:, 2]) / 2])
+    centre = mesh.vertices.reshape(-1, 8, 3).mean(axis=1).repeat(8, axis=0)
+    outward = mesh.vertices + 0.5 * (mesh.vertices - centre)  # on the corner diagonals
+    _assert_matches_brute(mesh, np.concatenate([mesh.vertices, midpoints, outward]))
+
+
+def test_query_matches_brute_off_surface():
+    rng = np.random.default_rng(3)
+    for mesh in (_cube_row(), M.icosphere(40.0, 3)):
+        samples = M.surface_samples(mesh, 400, seed=5)
+        direction = rng.normal(size=samples.shape)
+        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+        offset = rng.uniform(5.0, 20.0, size=(len(samples), 1))
+        _assert_matches_brute(mesh, samples + offset * direction)

@@ -49,24 +49,8 @@ class SlicerSection:
 
 
 @dataclass(frozen=True)
-class TrainSection:
-    learning_rate: float = 1e-3
-    epochs: int = 300
-    batch_size: int = 16
-    validation_fraction: float = 0.15
-    patience: int = 30
-    seed: int = 0
+class TrainSection(TrainConfig):
     hidden: int = 256
-
-    def to_train_config(self) -> TrainConfig:
-        return TrainConfig(
-            learning_rate=self.learning_rate,
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            validation_fraction=self.validation_fraction,
-            patience=self.patience,
-            seed=self.seed,
-        )
 
 
 @dataclass(frozen=True)

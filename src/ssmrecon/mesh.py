@@ -6,7 +6,7 @@ the mm^3 -> cm^3 conversion lives in a single constant below.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,11 +102,8 @@ class Plane:
     """Axis-aligned cutting plane with normal along +x, at ``offset`` mm."""
 
     offset: float
-    axis: int = field(default=0)
 
     def __post_init__(self):
-        if self.axis != 0:
-            raise DataError("only x-normal (sagittal) planes are supported")
         if not np.isfinite(self.offset):
             raise DataError("plane offset must be finite")
 

@@ -186,7 +186,7 @@ def cmd_train(cfg: PipelineConfig) -> Path:
         target = shape_space.project(space, load_mesh(reg_path))
         dataset.append((_load_stack(cfg, sid), target))
 
-    params, log = regressor.train(dataset, cfg.train.to_train_config(), n_hidden=cfg.train.hidden)
+    params, log = regressor.train(dataset, cfg.train, n_hidden=cfg.train.hidden)
     manifest_path, _ = regressor.save_weights(params, cfg.weights_stem)
 
     log_path = cfg.output_dir / "training_log.csv"
@@ -199,13 +199,6 @@ def cmd_train(cfg: PipelineConfig) -> Path:
     return manifest_path
 
 
-def predict_mesh(cfg: PipelineConfig, stack: MaskStack) -> tuple[TriMesh, np.ndarray]:
-    space = shape_space.load_ssm(cfg.ssm_stem)
-    params = regressor.load_weights(cfg.weights_stem)
-    alpha = regressor.forward(params, stack)
-    return shape_space.reconstruct(space, alpha), alpha
-
-
 def cmd_reconstruct(cfg: PipelineConfig, subject: str | None = None, stack_path=None) -> tuple[Path, float]:
     """Predict shape parameters from one mask stack, save the mesh, return volume."""
     if (subject is None) == (stack_path is None):
@@ -216,7 +209,9 @@ def cmd_reconstruct(cfg: PipelineConfig, subject: str | None = None, stack_path=
     else:
         stack = load_mask_stack(stack_path)[0]
         out_name = Path(stack_path).resolve().parent.name + ".obj"
-    mesh, _ = predict_mesh(cfg, stack)
+    space = shape_space.load_ssm(cfg.ssm_stem)
+    params = regressor.load_weights(cfg.weights_stem)
+    mesh = shape_space.reconstruct(space, regressor.forward(params, stack))
     out_path = cfg.output_dir / "recon" / out_name
     out_path.parent.mkdir(parents=True, exist_ok=True)
     save_mesh(mesh, out_path)
@@ -236,6 +231,7 @@ def cmd_evaluate(cfg: PipelineConfig) -> tuple[Path, Path]:
     if not test_ids:
         raise DataError("test split is empty")
     baseline_mesh = space.mean_mesh()
+    baseline_volume = signed_volume(baseline_mesh)
     n_samples = cfg.evaluate.samples
     seed = cfg.evaluate.seed
 
@@ -255,7 +251,7 @@ def cmd_evaluate(cfg: PipelineConfig) -> tuple[Path, Path]:
             "subject": sid,
             "volume_truth_cm3": truth_volume,
             "volume_predicted_cm3": pred_volume,
-            "volume_baseline_cm3": signed_volume(baseline_mesh),
+            "volume_baseline_cm3": baseline_volume,
             "chamfer_mm": pred.chamfer_mm,
             "msd_mm": pred.msd_mm,
             "chamfer_baseline_mm": base.chamfer_mm,

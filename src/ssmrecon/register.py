@@ -41,10 +41,6 @@ class RigidTransform:
     def apply(self, points: np.ndarray) -> np.ndarray:
         return np.asarray(points, dtype=np.float64) @ self.rotation.T + self.translation
 
-    @staticmethod
-    def identity() -> "RigidTransform":
-        return RigidTransform(np.eye(3), np.zeros(3))
-
 
 @dataclass(frozen=True)
 class FitConfig:

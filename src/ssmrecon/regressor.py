@@ -120,31 +120,36 @@ def _forward_batch(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, np.nda
     return hidden, hidden @ params.w2.T + params.b2
 
 
-def loss(params: MlpParams, batch) -> float:
-    """Mean over the batch of ||prediction - target||^2 / K."""
-    if not batch:
+def _as_batch(pairs, n_inputs: int) -> tuple[np.ndarray, np.ndarray]:
+    """(B, D) inputs and (B, K) targets of non-empty (input, target) pairs."""
+    if not pairs:
         raise DataError("batch must be non-empty")
-    x = _as_input_matrix([b[0] for b in batch], params.n_inputs)
-    y = np.stack([np.asarray(b[1], dtype=np.float64).ravel() for b in batch])
+    x = _as_input_matrix([p[0] for p in pairs], n_inputs)
+    y = np.stack([np.asarray(p[1], dtype=np.float64).ravel() for p in pairs])
+    return x, y
+
+
+def _mse(params: MlpParams, x: np.ndarray, y: np.ndarray) -> float:
     _, pred = _forward_batch(params, x)
     return float(((pred - y) ** 2).sum(axis=1).mean() / params.n_outputs)
 
 
+def _backprop(params: MlpParams, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Fresh (g_w1, g_b1, g_w2, g_b2) arrays: the gradient of ``_mse``."""
+    hidden, pred = _forward_batch(params, x)
+    d_pred = 2.0 * (pred - y) / (len(x) * params.n_outputs)
+    d_hidden = (d_pred @ params.w2) * (hidden > 0.0)
+    return d_hidden.T @ x, d_hidden.sum(axis=0), d_pred.T @ hidden, d_pred.sum(axis=0)
+
+
+def loss(params: MlpParams, batch) -> float:
+    """Mean over the batch of ||prediction - target||^2 / K."""
+    return _mse(params, *_as_batch(batch, params.n_inputs))
+
+
 def gradient(params: MlpParams, batch) -> MlpParams:
     """Exact analytic gradient of ``loss`` with respect to every parameter."""
-    if not batch:
-        raise DataError("batch must be non-empty")
-    x = _as_input_matrix([b[0] for b in batch], params.n_inputs)
-    y = np.stack([np.asarray(b[1], dtype=np.float64).ravel() for b in batch])
-    hidden, pred = _forward_batch(params, x)
-    b = len(batch)
-    d_pred = 2.0 * (pred - y) / (b * params.n_outputs)
-    g_w2 = d_pred.T @ hidden
-    g_b2 = d_pred.sum(axis=0)
-    d_hidden = (d_pred @ params.w2) * (hidden > 0.0)
-    g_w1 = d_hidden.T @ x
-    g_b1 = d_hidden.sum(axis=0)
-    return MlpParams(g_w1, g_b1, g_w2, g_b2)
+    return MlpParams(*_backprop(params, *_as_batch(batch, params.n_inputs)))
 
 
 @dataclass
@@ -172,10 +177,8 @@ def train(dataset, cfg: TrainConfig, n_hidden: int = 256) -> tuple[MlpParams, Tr
     """
     if len(dataset) < 2:
         raise DataError("need at least 2 training samples")
-    n_inputs = _flat_input(dataset[0][0]).size
-    x_all = _as_input_matrix([d[0] for d in dataset], n_inputs)
-    y_all = np.stack([np.asarray(d[1], dtype=np.float64).ravel() for d in dataset])
-    n, k = len(x_all), y_all.shape[1]
+    x_all, y_all = _as_batch(dataset, _flat_input(dataset[0][0]).size)
+    n, k = y_all.shape
 
     rng = np.random.default_rng(cfg.seed)
     params = init_params(x_all.shape[1], n_hidden, k, seed=int(rng.integers(2**31 - 1)))
@@ -190,10 +193,6 @@ def train(dataset, cfg: TrainConfig, n_hidden: int = 256) -> tuple[MlpParams, Tr
     x_train, y_train = x_all[train_idx], y_all[train_idx]
     x_val, y_val = x_all[val_idx], y_all[val_idx]
 
-    def eval_loss(p: MlpParams, x: np.ndarray, y: np.ndarray) -> float:
-        _, pred = _forward_batch(p, x)
-        return float(((pred - y) ** 2).sum(axis=1).mean() / k)
-
     log = TrainingLog([], [], [], best_epoch=0, n_train=len(train_idx), n_val=n_val)
     best = params
     best_val = np.inf
@@ -203,22 +202,18 @@ def train(dataset, cfg: TrainConfig, n_hidden: int = 256) -> tuple[MlpParams, Tr
         perm = rng.permutation(len(x_train))
         for start in range(0, len(perm), cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
-            xb, yb = x_train[idx], y_train[idx]
             try:
                 with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught here
-                    hidden, pred = _forward_batch(params, xb)
-                    d_pred = 2.0 * (pred - yb) / (len(idx) * k)
-                    d_hidden = (d_pred @ params.w2) * (hidden > 0.0)
-                    params = MlpParams(
-                        params.w1 - lr * (d_hidden.T @ xb),
-                        params.b1 - lr * d_hidden.sum(axis=0),
-                        params.w2 - lr * (d_pred.T @ hidden),
-                        params.b2 - lr * d_pred.sum(axis=0),
-                    )
+                    grads = _backprop(params, x_train[idx], y_train[idx])
+                    # in place: `p - lr * g` would allocate a W1-sized temporary, as grads still holds g
+                    for p, g in zip((params.w1, params.b1, params.w2, params.b2), grads):
+                        g *= lr
+                        np.subtract(p, g, out=g)
+                    params = MlpParams(*grads)
             except DataError as exc:
                 raise NumericalError(f"training diverged at epoch {epoch}: {exc}") from exc
-        t_loss = eval_loss(params, x_train, y_train)
-        v_loss = eval_loss(params, x_val, y_val) if n_val else t_loss
+        t_loss = _mse(params, x_train, y_train)
+        v_loss = _mse(params, x_val, y_val) if n_val else t_loss
         if not np.isfinite(t_loss) or not np.isfinite(v_loss):
             raise NumericalError(f"training diverged at epoch {epoch} (non-finite loss)")
         log.epochs.append(epoch)

@@ -39,6 +39,16 @@ def test_bad_value_rejected(tmp_path):
         load_config(write_config(tmp_path, {"synth": {"amplitude": 0.9}}))
 
 
+def test_zero_learning_rate_rejected_at_load(tmp_path):
+    with pytest.raises(ConfigError, match="train"):
+        load_config(write_config(tmp_path, {"train": {"learning_rate": 0}}))
+
+
+def test_full_validation_fraction_rejected_at_load(tmp_path):
+    with pytest.raises(ConfigError, match="train"):
+        load_config(write_config(tmp_path, {"train": {"validation_fraction": 1.0}}))
+
+
 def test_paths_resolve_relative_to_config(tmp_path):
     cfg = load_config(write_config(tmp_path, {"paths": {"population_dir": "data/pop"}}))
     assert cfg.population_dir == tmp_path / "data" / "pop"

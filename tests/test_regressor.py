@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -192,6 +194,17 @@ def test_divergence_reported_with_epoch():
     cfg = TrainConfig(learning_rate=1e18, epochs=10, batch_size=2, validation_fraction=0.0, patience=0, seed=5)
     with pytest.raises(NumericalError, match="epoch"):
         train(data, cfg, n_hidden=4)
+
+
+def test_best_epoch_snapshot_survives_later_steps():
+    data = toy_batch(12, 12, d=16, k=3)
+    cfg = TrainConfig(learning_rate=0.02, epochs=60, batch_size=4, validation_fraction=0.25, patience=0, seed=6)
+    best, log = train(data, cfg, n_hidden=8)
+    assert 1 < log.best_epoch < cfg.epochs
+    # stopping at the best epoch replays the same steps; later steps must not touch the snapshot
+    again, _ = train(data, dataclasses.replace(cfg, epochs=log.best_epoch), n_hidden=8)
+    for name in ("w1", "b1", "w2", "b2"):
+        assert getattr(best, name).tobytes() == getattr(again, name).tobytes()
 
 
 def test_config_validation():

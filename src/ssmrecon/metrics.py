@@ -79,13 +79,30 @@ def mask_metrics(pred: np.ndarray, truth: np.ndarray, spacing: float) -> MaskMet
     return MaskMetrics(accuracy, dice, iou, float(spacing * max(d_pt, d_tp)))
 
 
-def _directed_means(mesh_a: TriMesh, mesh_b: TriMesh, n: int, seed: int) -> tuple[float, float]:
-    if mesh_a.is_empty or mesh_b.is_empty:
+@dataclass(frozen=True)
+class SampledSurface:
+    """A mesh's surface samples and closest-point index, reusable across comparisons."""
+
+    samples: np.ndarray
+    index: SurfaceIndex
+
+
+def sampled_surface(mesh: TriMesh, n: int = DEFAULT_SAMPLES, seed: int = 0) -> SampledSurface:
+    """Draw the ``n`` seeded area-uniform samples of ``mesh`` and index it."""
+    if mesh.is_empty:
         raise DataError("mesh metrics need non-empty meshes")
-    samples_a = surface_samples(mesh_a, n, seed)
-    samples_b = surface_samples(mesh_b, n, seed)
-    d_ab = SurfaceIndex(mesh_b).query(samples_a)[1].mean()
-    d_ba = SurfaceIndex(mesh_a).query(samples_b)[1].mean()
+    return SampledSurface(surface_samples(mesh, n, seed), SurfaceIndex(mesh))
+
+
+def _directed_means(a, b, n: int, seed: int) -> tuple[float, float]:
+    """Mean distances a-samples to b and b-samples to a.
+
+    ``a`` and ``b`` are meshes or ``SampledSurface``s; a prepared surface
+    keeps the samples it was built with, whatever ``n`` and ``seed`` say.
+    """
+    a, b = (s if isinstance(s, SampledSurface) else sampled_surface(s, n, seed) for s in (a, b))
+    d_ab = b.index.query(a.samples)[1].mean()
+    d_ba = a.index.query(b.samples)[1].mean()
     return float(d_ab), float(d_ba)
 
 
@@ -101,8 +118,14 @@ def msd(mesh_a: TriMesh, mesh_b: TriMesh, n: int = DEFAULT_SAMPLES, seed: int = 
     return (d_ab + d_ba) / 2.0
 
 
-def mesh_metrics(mesh_a: TriMesh, mesh_b: TriMesh, n: int = DEFAULT_SAMPLES, seed: int = 0) -> MeshMetrics:
-    """Chamfer and mean surface distance computed from one sampling pass."""
+def mesh_metrics(
+    mesh_a: TriMesh | SampledSurface, mesh_b: TriMesh | SampledSurface, n: int = DEFAULT_SAMPLES, seed: int = 0
+) -> MeshMetrics:
+    """Chamfer and mean surface distance computed from one sampling pass.
+
+    Either side may be a ``SampledSurface`` prepared once with
+    ``sampled_surface`` and shared by several comparisons.
+    """
     d_ab, d_ba = _directed_means(mesh_a, mesh_b, n, seed)
     return MeshMetrics(d_ab + d_ba, (d_ab + d_ba) / 2.0)
 

@@ -8,7 +8,7 @@ from conftest import random_rotation
 
 from ssmrecon import mesh as M
 from ssmrecon.errors import DataError
-from ssmrecon.metrics import chamfer, mask_metrics, mesh_metrics, msd, rmse
+from ssmrecon.metrics import chamfer, mask_metrics, mesh_metrics, msd, rmse, sampled_surface
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +125,17 @@ def test_mesh_metrics_consistent(blob_pair):
     both = mesh_metrics(a, b, 2000, 7)
     assert both.chamfer_mm == chamfer(a, b, 2000, 7)
     assert both.msd_mm == both.chamfer_mm / 2.0
+
+
+def test_mesh_metrics_from_prepared_surfaces_exact(blob_pair):
+    a, b = blob_pair
+    both = mesh_metrics(a, b, 2000, 7)
+    prep_a, prep_b = sampled_surface(a, 2000, 7), sampled_surface(b, 2000, 7)
+    assert mesh_metrics(prep_a, prep_b) == both
+    assert mesh_metrics(a, prep_b, 2000, 7) == both
+    assert mesh_metrics(prep_a, b, 2000, 7) == both
+    # prepared surfaces keep the samples they were built with
+    assert mesh_metrics(prep_a, prep_b, 500, 1) == both
 
 
 def test_rigid_motion_invariance(blob_pair):

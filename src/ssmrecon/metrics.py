@@ -81,50 +81,62 @@ def mask_metrics(pred: np.ndarray, truth: np.ndarray, spacing: float) -> MaskMet
 
 @dataclass(frozen=True)
 class SampledSurface:
-    """A mesh's surface samples and closest-point index, reusable across comparisons."""
+    """A mesh's ``n`` seeded surface samples and its closest-point index."""
 
     samples: np.ndarray
     index: SurfaceIndex
+    n: int
+    seed: int
 
 
 def sampled_surface(mesh: TriMesh, n: int = DEFAULT_SAMPLES, seed: int = 0) -> SampledSurface:
-    """Draw the ``n`` seeded area-uniform samples of ``mesh`` and index it."""
+    """Sample and index ``mesh`` once, for several comparisons with the same ``n`` and ``seed``."""
     if mesh.is_empty:
         raise DataError("mesh metrics need non-empty meshes")
-    return SampledSurface(surface_samples(mesh, n, seed), SurfaceIndex(mesh))
+    return SampledSurface(surface_samples(mesh, n, seed), SurfaceIndex(mesh), n, seed)
 
 
-def _directed_means(a, b, n: int, seed: int) -> tuple[float, float]:
-    """Mean distances a-samples to b and b-samples to a.
+# A mesh, or one already sampled and indexed by ``sampled_surface``.
+Surface = TriMesh | SampledSurface
 
-    ``a`` and ``b`` are meshes or ``SampledSurface``s; a prepared surface
-    keeps the samples it was built with, whatever ``n`` and ``seed`` say.
-    """
-    a, b = (s if isinstance(s, SampledSurface) else sampled_surface(s, n, seed) for s in (a, b))
+
+def _sampled(surface: Surface, n: int, seed: int) -> SampledSurface:
+    if not isinstance(surface, SampledSurface):
+        return sampled_surface(surface, n, seed)
+    if (surface.n, surface.seed) != (n, seed):
+        raise DataError(
+            f"surface was sampled with n={surface.n}, seed={surface.seed}; "
+            f"this comparison asks for n={n}, seed={seed}"
+        )
+    return surface
+
+
+def _directed_means(a: Surface, b: Surface, n: int, seed: int) -> tuple[float, float]:
+    """Mean distances a-samples to b and b-samples to a."""
+    a, b = _sampled(a, n, seed), _sampled(b, n, seed)
     d_ab = b.index.query(a.samples)[1].mean()
     d_ba = a.index.query(b.samples)[1].mean()
     return float(d_ab), float(d_ba)
 
 
-def chamfer(mesh_a: TriMesh, mesh_b: TriMesh, n: int = DEFAULT_SAMPLES, seed: int = 0) -> float:
+def chamfer(mesh_a: Surface, mesh_b: Surface, n: int = DEFAULT_SAMPLES, seed: int = 0) -> float:
     """Sum of the two directed mean sample-to-surface distances (mm)."""
     d_ab, d_ba = _directed_means(mesh_a, mesh_b, n, seed)
     return d_ab + d_ba
 
 
-def msd(mesh_a: TriMesh, mesh_b: TriMesh, n: int = DEFAULT_SAMPLES, seed: int = 0) -> float:
+def msd(mesh_a: Surface, mesh_b: Surface, n: int = DEFAULT_SAMPLES, seed: int = 0) -> float:
     """Average of the two directed mean distances (mm); equals chamfer / 2."""
     d_ab, d_ba = _directed_means(mesh_a, mesh_b, n, seed)
     return (d_ab + d_ba) / 2.0
 
 
-def mesh_metrics(
-    mesh_a: TriMesh | SampledSurface, mesh_b: TriMesh | SampledSurface, n: int = DEFAULT_SAMPLES, seed: int = 0
-) -> MeshMetrics:
+def mesh_metrics(mesh_a: Surface, mesh_b: Surface, n: int = DEFAULT_SAMPLES, seed: int = 0) -> MeshMetrics:
     """Chamfer and mean surface distance computed from one sampling pass.
 
-    Either side may be a ``SampledSurface`` prepared once with
-    ``sampled_surface`` and shared by several comparisons.
+    Either side may be a ``SampledSurface``, so one surface can be sampled
+    and indexed once and compared many times; it must have been sampled
+    with this ``n`` and ``seed``.
     """
     d_ab, d_ba = _directed_means(mesh_a, mesh_b, n, seed)
     return MeshMetrics(d_ab + d_ba, (d_ab + d_ba) / 2.0)

@@ -5,14 +5,6 @@ Every stage is deterministic given the config (and its seeds); reruns
 produce byte-identical artifacts. Per-subject work runs through a thread
 pool capped by the SSMRECON_THREADS environment variable, with results
 always reduced in subject-id order.
-
-Reconstruct and evaluate take the shape space and the weights from a
-single-entry cache that is keyed by ``(st_dev, st_ino, st_size,
-st_mtime_ns)`` of the four model files, so each file version is loaded and
-checked once per process. Saving a model renames new files into place, and
-an in-place edit by another tool changes the size or mtime, so either way
-the next request reloads (and re-checks) the model. Train drops the cached
-model before it starts, so the mapped weights do not add to its peak memory.
 """
 from __future__ import annotations
 
@@ -24,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import metrics, regressor, shape_space, sidecar, stats, synth
+from . import metrics, regressor, shape_space, stats, synth
 from .config import PipelineConfig
 from .errors import ConfigError, DataError, NumericalError
 from .mesh import TriMesh, load_mesh, save_mesh, signed_volume
@@ -111,33 +103,6 @@ def _registered_dir(cfg: PipelineConfig) -> Path:
     return cfg.output_dir / "registered"
 
 
-# (stat key of the four model files, (space, params)) of the last model served
-_served = (None, None)
-
-
-def _model(cfg: PipelineConfig) -> tuple[shape_space.ShapeSpace, regressor.MlpParams]:
-    """The shape space and weights, loaded and checked once per file version.
-
-    The cached views keep the old payloads mapped, so a rewritten payload
-    cannot reuse their inode numbers. The key is taken before loading, so a
-    model is never older than its key; concurrent callers at worst load the
-    same version twice. When a file cannot be stat-ed the loaders run and
-    report it.
-    """
-    global _served
-    paths = (*sidecar._paths(cfg.ssm_stem, "ssm"), *sidecar._paths(cfg.weights_stem, "mlp"))
-    try:
-        key = tuple((s.st_dev, s.st_ino, s.st_size, s.st_mtime_ns) for s in map(os.stat, paths))
-    except OSError:
-        key = None
-    served_key, model = _served
-    if key is None or key != served_key:
-        _served = (None, None)
-        model = (shape_space.load_ssm(cfg.ssm_stem), regressor.load_weights(cfg.weights_stem))
-        _served = (key, model)
-    return model
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -210,8 +175,6 @@ def _load_stack(cfg: PipelineConfig, sid: str) -> MaskStack:
 
 def cmd_train(cfg: PipelineConfig) -> Path:
     """Train the regressor on training-split masks and projected targets."""
-    global _served
-    _served = (None, None)
     space = shape_space.load_ssm(cfg.ssm_stem)
     train_ids, _ = split_ids(cfg)
     reg_dir = _registered_dir(cfg)
@@ -246,7 +209,8 @@ def cmd_reconstruct(cfg: PipelineConfig, subject: str | None = None, stack_path=
     else:
         stack = load_mask_stack(stack_path)[0]
         out_name = Path(stack_path).resolve().parent.name + ".obj"
-    space, params = _model(cfg)
+    space = shape_space.load_ssm(cfg.ssm_stem)
+    params = regressor.load_weights(cfg.weights_stem)
     mesh = shape_space.reconstruct(space, regressor.forward(params, stack))
     out_path = cfg.output_dir / "recon" / out_name
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -260,7 +224,8 @@ def cmd_evaluate(cfg: PipelineConfig) -> tuple[Path, Path]:
     Every report carries a zero-parameter mean-shape baseline row, which
     anchors whether the regressor learnt anything beyond the population mean.
     """
-    space, params = _model(cfg)
+    space = shape_space.load_ssm(cfg.ssm_stem)
+    params = regressor.load_weights(cfg.weights_stem)
     manifest = synth.load_population_manifest(cfg.population_dir)
     _, test_ids = split_ids(cfg)
     if not test_ids:
@@ -283,7 +248,7 @@ def cmd_evaluate(cfg: PipelineConfig) -> tuple[Path, Path]:
             pred_mesh = shape_space.reconstruct(space, alpha)
             pred_volume = signed_volume(pred_mesh)
         pred = metrics.mesh_metrics(pred_mesh, truth, n_samples, seed)
-        base = metrics.mesh_metrics(baseline, truth)
+        base = metrics.mesh_metrics(baseline, truth, n_samples, seed)
         return {
             "subject": sid,
             "volume_truth_cm3": truth_volume,

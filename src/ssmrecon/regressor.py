@@ -17,6 +17,18 @@ from . import sidecar
 from .errors import DataError, NumericalError
 
 
+def _all_finite(arr: np.ndarray) -> bool:
+    """Whether every value of ``arr`` is finite, at the cost of one BLAS dot.
+
+    A NaN or an infinity makes the sum of squares NaN or infinite, so a
+    finite sum clears the array. Only a non-finite sum (a bad value, or
+    finite values whose squares overflow) needs the element-wise check.
+    """
+    v = arr.reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.isfinite(v @ v)) or bool(np.isfinite(v).all())
+
+
 @dataclass(frozen=True)
 class MlpParams:
     """Weights and biases; dimensions (D inputs, H hidden, K outputs)."""
@@ -37,9 +49,8 @@ class MlpParams:
             raise DataError(
                 f"inconsistent dimensions: W1 {w1.shape}, b1 {b1.shape}, W2 {w2.shape}, b2 {b2.shape}"
             )
-        for arr in (w1, b1, w2, b2):
-            if not np.isfinite(arr).all():
-                raise DataError("parameters must be finite")
+        if not all(map(_all_finite, (w1, b1, w2, b2))):
+            raise DataError("parameters must be finite")
         object.__setattr__(self, "w1", w1)
         object.__setattr__(self, "b1", b1)
         object.__setattr__(self, "w2", w2)

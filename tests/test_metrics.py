@@ -131,11 +131,17 @@ def test_mesh_metrics_from_prepared_surfaces_exact(blob_pair):
     a, b = blob_pair
     both = mesh_metrics(a, b, 2000, 7)
     prep_a, prep_b = sampled_surface(a, 2000, 7), sampled_surface(b, 2000, 7)
-    assert mesh_metrics(prep_a, prep_b) == both
+    assert mesh_metrics(prep_a, prep_b, 2000, 7) == both
     assert mesh_metrics(a, prep_b, 2000, 7) == both
     assert mesh_metrics(prep_a, b, 2000, 7) == both
-    # prepared surfaces keep the samples they were built with
-    assert mesh_metrics(prep_a, prep_b, 500, 1) == both
+    assert chamfer(prep_a, prep_b, 2000, 7) == both.chamfer_mm
+
+
+@pytest.mark.parametrize("n, seed", [(500, 7), (2000, 1)])
+def test_prepared_surface_sampled_differently_rejected(blob_pair, n, seed):
+    a, b = blob_pair
+    with pytest.raises(DataError, match="sampled with n=2000, seed=7"):
+        mesh_metrics(sampled_surface(a, 2000, 7), b, n, seed)
 
 
 def test_rigid_motion_invariance(blob_pair):

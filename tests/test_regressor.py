@@ -61,6 +61,24 @@ def test_dimension_mismatch_rejected():
         forward(p, np.zeros(9))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["w1", "b1", "w2", "b2"])
+def test_non_finite_parameter_rejected(name, bad):
+    p = init_params(1000, 40, 2, seed=0)  # W1 large enough for the BLAS dot to split across threads
+    size = getattr(p, name).size
+    for pos in (0, size // 2, size - 1):
+        arrays = {f.name: np.array(getattr(p, f.name)) for f in dataclasses.fields(p)}
+        arrays[name].flat[pos] = bad
+        with pytest.raises(DataError, match="finite"):
+            MlpParams(**arrays)
+
+
+def test_finite_parameters_with_overflowing_squares_accepted():
+    # the squares of 1e200 overflow, so only the element-wise check can clear these
+    p = params_with(np.full((3, 5), 1e200), [-1e300, 0.0, 1.0], np.full((2, 3), -1e200), [1e300, 1e-300])
+    assert p.w1[0, 0] == 1e200 and p.b2[0] == 1e300
+
+
 # ---------------------------------------------------------------------------
 # loss
 

@@ -13,6 +13,7 @@ from pathlib import Path
 from .errors import ConfigError, DataError
 from .register import FitConfig
 from .regressor import TrainConfig
+from .slicer import check_protocol
 from .synth import SynthConfig
 
 
@@ -41,11 +42,7 @@ class SlicerSection:
     resolution: int = 192
 
     def __post_init__(self):
-        object.__setattr__(self, "offsets", tuple(float(o) for o in self.offsets))
-        if len(self.offsets) not in (2, 3):
-            raise ConfigError("slicer.offsets must hold 2 or 3 fractions")
-        if self.resolution < 16:
-            raise ConfigError("slicer.resolution must be >= 16")
+        object.__setattr__(self, "offsets", check_protocol(self.offsets, self.resolution))
 
 
 @dataclass(frozen=True)

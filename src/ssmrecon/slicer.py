@@ -17,9 +17,6 @@ import numpy as np
 from .errors import DataError
 from .mesh import Plane, TriMesh, validate_closed
 
-_CHAIN_TOL = 1e-6
-
-
 @dataclass(frozen=True)
 class Window:
     """Axis-aligned 3D box (mm) shared by all subjects of a dataset."""
@@ -52,51 +49,55 @@ class Window:
         return Window(np.asarray(d["lo"], dtype=np.float64), np.asarray(d["hi"], dtype=np.float64))
 
 
-def window_for_population(meshes, margin: float = 0.10, square_yz: bool = True) -> Window:
-    """Bounding box of a mesh population, padded by ``margin`` per axis.
+def window_for_population(meshes) -> Window:
+    """Bounding box of a mesh population, padded by 10% per axis.
 
-    The y/z extents are expanded to a common size by default so pixels come
-    out isotropic.
+    The y/z extents are expanded to a common size so pixels come out
+    isotropic.
     """
     los = np.stack([m.bounds()[0] for m in meshes])
     his = np.stack([m.bounds()[1] for m in meshes])
     lo = los.min(axis=0)
     hi = his.max(axis=0)
     ext = hi - lo
-    lo = lo - margin * ext
-    hi = hi + margin * ext
-    if square_yz:
-        centre = 0.5 * (lo + hi)
-        half = 0.5 * max(hi[1] - lo[1], hi[2] - lo[2])
-        for ax in (1, 2):
-            lo[ax] = centre[ax] - half
-            hi[ax] = centre[ax] + half
+    lo = lo - 0.10 * ext
+    hi = hi + 0.10 * ext
+    centre = 0.5 * (lo + hi)
+    half = 0.5 * max(hi[1] - lo[1], hi[2] - lo[2])
+    for ax in (1, 2):
+        lo[ax] = centre[ax] - half
+        hi[ax] = centre[ax] + half
     return Window(lo, hi)
 
 
-@dataclass(frozen=True)
-class SliceProtocol:
-    """Where to cut and how finely to rasterize.
+def check_protocol(offsets, resolution: int) -> tuple:
+    """Validate plane offsets and mask resolution; returns the offsets as floats.
 
     ``offsets`` are 2 or 3 strictly increasing fractions in (0, 1) of the
     window's x extent; ``resolution`` is the square mask side in pixels.
     """
+    offs = tuple(float(o) for o in offsets)
+    if len(offs) not in (2, 3):
+        raise DataError("protocol needs 2 or 3 plane offsets")
+    if any(not (0.0 < o < 1.0) for o in offs):
+        raise DataError("plane offsets must lie strictly inside (0, 1)")
+    if any(b <= a for a, b in zip(offs, offs[1:])):
+        raise DataError("plane offsets must be strictly increasing")
+    if resolution < 16:
+        raise DataError("resolution must be >= 16")
+    return offs
+
+
+@dataclass(frozen=True)
+class SliceProtocol:
+    """Where to cut and how finely to rasterize (rules in ``check_protocol``)."""
 
     offsets: tuple
     window: Window
     resolution: int = 192
 
     def __post_init__(self):
-        offs = tuple(float(o) for o in self.offsets)
-        if len(offs) not in (2, 3):
-            raise DataError("protocol needs 2 or 3 plane offsets")
-        if any(not (0.0 < o < 1.0) for o in offs):
-            raise DataError("plane offsets must lie strictly inside (0, 1)")
-        if any(b <= a for a, b in zip(offs, offs[1:])):
-            raise DataError("plane offsets must be strictly increasing")
-        if self.resolution < 16:
-            raise DataError("resolution must be >= 16")
-        object.__setattr__(self, "offsets", offs)
+        object.__setattr__(self, "offsets", check_protocol(self.offsets, self.resolution))
 
 
 @dataclass(frozen=True)
@@ -148,96 +149,62 @@ def cross_section(mesh: TriMesh, plane: Plane) -> list[np.ndarray]:
 
     Returns a list of closed loops as (n, 2) arrays of (y, z) coordinates.
     Outer loops wind counter-clockwise for outward-oriented meshes; holes
-    wind the other way. Empty list when the plane misses the mesh.
+    wind the other way. Empty list when the plane misses the mesh. Raises
+    DataError when a loop does not close, as for an inverted face.
     """
     validate_closed(mesh)
     if mesh.is_empty:
         return []
     v = mesh.vertices
-    f = mesh.faces
-    side = np.where(v[:, 0] >= plane.offset, 1, -1)  # on-plane vertices count as positive
-    tri_sides = side[f]
-    crossing = np.abs(tri_sides.sum(axis=1)) != 3
-    if not crossing.any():
+    n = len(v)
+    s = v[:, 0] - plane.offset
+    pos = s >= 0.0  # on-plane vertices count as positive
+    tri_pos = pos[mesh.faces]
+    f = mesh.faces[tri_pos.any(axis=1) & ~tri_pos.all(axis=1)]
+    if not len(f):
         return []
 
-    def edge_point(a: int, b: int) -> tuple:
-        # canonical direction so shared edges evaluate bit-identically
-        if a > b:
-            a, b = b, a
-        sa = v[a, 0] - plane.offset
-        sb = v[b, 0] - plane.offset
-        t = sa / (sa - sb)
-        p = v[a] + t * (v[b] - v[a])
-        return (p[1], p[2])
+    # the two cut edges of each crossing face, in (ab, bc, ca) order, lower
+    # vertex first so both faces of an edge compute its point bit-identically
+    g = np.roll(f, -1, axis=1)
+    cut = pos[f] != pos[g]
+    lo = np.minimum(f, g)[cut].reshape(-1, 2)
+    hi = np.maximum(f, g)[cut].reshape(-1, 2)
+    t = s[lo] / (s[lo] - s[hi])
+    yz = v[lo, 1:] + t[..., None] * (v[hi, 1:] - v[lo, 1:])
+    # name each cut point by its vertex when that lies on the plane, else by its edge
+    on = s == 0.0
+    name = np.where(on[lo], lo, np.where(on[hi], hi, n + lo * n + hi))
 
-    segments = []
-    for fi in np.nonzero(crossing)[0]:
-        ia, ib, ic = f[fi]
-        pts = []
-        for a, b in ((ia, ib), (ib, ic), (ic, ia)):
-            if side[a] != side[b]:
-                pts.append(edge_point(a, b))
-        if len(pts) != 2:
-            continue
-        p, q = pts
-        if p == q:
-            continue  # crossing through a single vertex
-        # orient along plane_normal x triangle_normal so loops wind consistently
-        ta, tb, tc = v[ia], v[ib], v[ic]
-        n = np.cross(tb - ta, tc - ta)
-        d = (-n[2], n[1])  # (1,0,0) x n restricted to the (y, z) plane
-        if (q[0] - p[0]) * d[0] + (q[1] - p[1]) * d[1] < 0:
-            p, q = q, p
-        segments.append((p, q))
+    # orient along plane_normal x triangle_normal so loops wind consistently
+    normal = np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
+    d = yz[:, 1] - yz[:, 0]
+    # (1,0,0) x normal restricted to the (y, z) plane is (-normal_z, normal_y)
+    flip = d[:, 0] * -normal[:, 2] + d[:, 1] * normal[:, 1] < 0
+    yz[flip] = yz[flip, ::-1]
+    name[flip] = name[flip, ::-1]
+    keep = name[:, 0] != name[:, 1]  # drops a face touching the plane at one vertex
+    yz = yz[keep]
+    heads = name[keep, 0].tolist()
+    tails = name[keep, 1].tolist()
 
-    if not segments:
-        return []
-
-    start_of: dict[tuple, list[int]] = {}
-    for i, (p, _) in enumerate(segments):
-        start_of.setdefault(p, []).append(i)
-
-    def pop_start(point: tuple) -> int | None:
-        bucket = start_of.get(point)
-        if bucket:
-            return bucket.pop()
-        # tolerance fallback for platforms that break bit-exact matching
-        best, best_d = None, _CHAIN_TOL
-        for key, idxs in start_of.items():
-            if not idxs:
-                continue
-            d = max(abs(key[0] - point[0]), abs(key[1] - point[1]))
-            if d < best_d:
-                best, best_d = key, d
-        if best is None:
-            return None
-        return start_of[best].pop()
-
-    used = np.zeros(len(segments), dtype=bool)
+    # a closed, consistently oriented mesh starts one segment at every name
+    # (two at a saddle vertex, where either pairing closes)
+    starts: dict[int, list[int]] = {}
+    for i, key in enumerate(heads):
+        starts.setdefault(key, []).append(i)
     loops = []
-    for i in range(len(segments)):
-        if used[i]:
-            continue
-        first = pop_start(segments[i][0])
-        if first is None:
-            continue  # start consumed by a tolerance fallback on another chain
-        loop = [segments[first][0]]
-        cursor = segments[first][1]
-        used[first] = True
-        while cursor != loop[0]:
-            nxt = pop_start(cursor)
-            if nxt is None:
-                if max(abs(cursor[0] - loop[0][0]), abs(cursor[1] - loop[0][1])) < _CHAIN_TOL:
-                    break
-                raise DataError(
-                    f"cross-section loop failed to close near (y={cursor[0]:.6f}, z={cursor[1]:.6f})"
-                )
-            loop.append(segments[nxt][0])
-            cursor = segments[nxt][1]
-            used[nxt] = True
-        if len(loop) >= 3:
-            loops.append(np.asarray(loop, dtype=np.float64))
+    for first in heads:
+        if starts[first]:
+            chain = [starts[first].pop()]
+            while tails[chain[-1]] != first:
+                bucket = starts.get(tails[chain[-1]])
+                if not bucket:
+                    y, z = yz[chain[-1], 1]
+                    raise DataError(f"cross-section loop failed to close near (y={y:.6f}, z={z:.6f})")
+                chain.append(bucket.pop())
+            if len(chain) >= 3:  # shorter chains enclose zero area
+                loops.append(yz[chain, 0])
     return loops
 
 

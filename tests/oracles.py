@@ -2,8 +2,10 @@
 
 Each oracle takes a different computational route from the code it checks:
 point-to-triangle distance goes through plane/segment projections, mask
-fill classifies every pixel centre by ray parity, volume comes from voxel
-column parity counting, and the t CDF from adaptive Simpson quadrature.
+fill classifies every pixel centre by ray parity, a section mask counts
+x-parallel ray crossings below the plane instead of cutting the mesh,
+volume comes from voxel column parity counting, and the t CDF from
+adaptive Simpson quadrature.
 """
 import math
 
@@ -80,6 +82,45 @@ def even_odd_fill(polygons, window_2d, resolution):
                         inside = not inside
             grid[i, j] = 1 if inside else 0
     return grid
+
+
+# ---------------------------------------------------------------------------
+# Ray-parity section mask
+
+
+def ray_parity_mask(mesh, x, window_2d, resolution):
+    """Mask of a mesh's section at plane ``x`` without cutting the mesh.
+
+    Casts one x-parallel ray per pixel centre and counts the triangles it
+    crosses below the plane; a centre is inside when the count is odd.
+    """
+    (y_lo, z_lo), (y_hi, z_hi) = window_2d
+    r = resolution
+    y_centres = y_lo + (np.arange(r) + 0.5) * (y_hi - y_lo) / r
+    z_centres = z_lo + (np.arange(r) + 0.5) * (z_hi - z_lo) / r
+    count = np.zeros((r, r), dtype=np.int64)
+    for t in mesh.triangle_corners():
+        if t[:, 0].min() >= x:
+            continue  # wholly above the plane: no crossing below it
+        ys = t[:, 1]
+        zs = t[:, 2]
+        iy0 = np.searchsorted(y_centres, ys.min())
+        iy1 = np.searchsorted(y_centres, ys.max())
+        iz0 = np.searchsorted(z_centres, zs.min())
+        iz1 = np.searchsorted(z_centres, zs.max())
+        if iy0 == iy1 or iz0 == iz1:
+            continue
+        yy, zz = np.meshgrid(y_centres[iy0:iy1], z_centres[iz0:iz1], indexing="ij")
+        # 2D barycentric test in the (y, z) projection
+        d = (zs[1] - zs[2]) * (ys[0] - ys[2]) + (ys[2] - ys[1]) * (zs[0] - zs[2])
+        if d == 0.0:
+            continue  # projection degenerate: ray can only graze
+        l1 = ((zs[1] - zs[2]) * (yy - ys[2]) + (ys[2] - ys[1]) * (zz - zs[2])) / d
+        l2 = ((zs[2] - zs[0]) * (yy - ys[2]) + (ys[0] - ys[2]) * (zz - zs[2])) / d
+        l3 = 1.0 - l1 - l2
+        x_cross = l1 * t[0, 0] + l2 * t[1, 0] + l3 * t[2, 0]
+        count[iy0:iy1, iz0:iz1] += (l1 > 0.0) & (l2 > 0.0) & (l3 > 0.0) & (x_cross < x)
+    return (count % 2).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------

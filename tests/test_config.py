@@ -69,3 +69,9 @@ def test_missing_file_rejected(tmp_path):
 def test_offsets_list_becomes_tuple(tmp_path):
     cfg = load_config(write_config(tmp_path, {"slicer": {"offsets": [0.4, 0.6]}}))
     assert cfg.slicer.offsets == (0.4, 0.6)
+
+
+@pytest.mark.parametrize("offsets", [[0.6, 0.4], [0.0, 0.5], [0.5, 1.2], [0.5, 0.5]])
+def test_bad_slicer_offsets_rejected_at_load(tmp_path, offsets):
+    with pytest.raises(ConfigError, match="slicer"):
+        load_config(write_config(tmp_path, {"slicer": {"offsets": offsets}}))

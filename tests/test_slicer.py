@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import even_odd_fill
+from oracles import even_odd_fill, ray_parity_mask
 
 from ssmrecon import mesh as M
 from ssmrecon import synth
@@ -21,6 +21,7 @@ from ssmrecon.slicer import (
     save_mask,
     save_mask_stack,
     section_area,
+    window_for_population,
 )
 
 
@@ -87,6 +88,35 @@ def test_section_area_continuous_in_offset():
     areas = np.array(areas)
     rel_jump = np.abs(np.diff(areas)) / np.maximum(areas[:-1], areas[1:])
     assert rel_jump.max() < 0.20
+
+
+def test_plane_through_vertices_at_either_edge_end():
+    # x = 0 holds icosphere vertices; a random renumbering puts them at the
+    # higher-index end of some cut edges as well as the lower
+    base = M.icosphere(10.0, 3)
+    perm = np.random.default_rng(5).permutation(base.n_vertices)
+    v = np.empty_like(base.vertices)
+    v[perm] = base.vertices * np.array([1.6, 1.2, 1.0])
+    mesh = M.TriMesh(v, perm[base.faces])
+    assert (mesh.vertices[:, 0] == 0.0).sum() > 0
+    loops = cross_section(mesh, M.Plane(0.0))
+    assert len(loops) == 1
+    # faces touching the plane at one vertex add no repeated point
+    edges = np.linalg.norm(loops[0] - np.roll(loops[0], -1, axis=0), axis=1)
+    assert edges.min() > 1e-6
+    nudged = section_area(cross_section(mesh, M.Plane(1e-9)))
+    assert section_area(loops) == pytest.approx(nudged, rel=1e-6)
+
+
+def test_inverted_face_fails_to_close():
+    mesh = M.icosphere(10.0, 2)
+    tri = mesh.triangle_corners()
+    fi = int(np.argmax(np.ptp(tri[:, :, 0], axis=1)))
+    faces = mesh.faces.copy()
+    faces[fi] = faces[fi, ::-1]
+    x = 0.5 * (tri[fi, :, 0].min() + tri[fi, :, 0].max())
+    with pytest.raises(DataError, match="failed to close"):
+        cross_section(M.TriMesh(mesh.vertices, faces), M.Plane(float(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +213,18 @@ def test_two_offset_protocol(small_population, shared_window):
     protocol = SliceProtocol((0.4, 0.6), shared_window, 64)
     stack = make_mask_stack(small_population[0], protocol)
     assert len(stack.masks) == 2
+
+
+def test_masks_match_ray_parity_oracle():
+    meshes, _ = synth.generate_population(synth.SynthConfig(n=3, seed=17, jitter_levels=(2, 3)))
+    win = window_for_population(meshes)
+    protocol = SliceProtocol((0.35, 0.5, 0.65), win, 64)
+    window_2d = ((win.lo[1], win.lo[2]), (win.hi[1], win.hi[2]))
+    for mesh in meshes:
+        stack = make_mask_stack(mesh, protocol)
+        for off, mask in zip(protocol.offsets, stack.masks):
+            oracle = ray_parity_mask(mesh, win.plane_at(off).offset, window_2d, 64)
+            assert np.array_equal(mask, oracle)
 
 
 def test_scaling_mesh_grows_every_mask(small_population, shared_window):

@@ -19,7 +19,7 @@ import numpy as np
 from . import metrics, regressor, shape_space, stats, synth
 from .config import PipelineConfig
 from .errors import ConfigError, DataError, NumericalError
-from .mesh import TriMesh, load_mesh, save_mesh, signed_volume
+from .mesh import MM3_PER_CM3, TriMesh, load_mesh, oriented_volume_mm3, save_mesh, signed_volume
 from .register import generalized_procrustes, nonrigid_fit
 from .slicer import (
     MaskStack,
@@ -199,23 +199,36 @@ def cmd_train(cfg: PipelineConfig) -> Path:
     return manifest_path
 
 
+def _predicted_volume(mesh: TriMesh, subject: str) -> float:
+    """Volume in cm^3 of a reconstruction; an inward-oriented one is a numerical failure.
+
+    A predicted mesh shares the shape space's faces, which are outward-oriented
+    on the mean shape, so a negative signed volume means the predicted
+    parameters turned the surface inside out.
+    """
+    raw = oriented_volume_mm3(mesh)
+    if raw < 0:
+        raise NumericalError(f"reconstruction of {subject} is inward-oriented (signed volume {raw:.6g} mm^3)")
+    return raw / MM3_PER_CM3
+
+
 def cmd_reconstruct(cfg: PipelineConfig, subject: str | None = None, stack_path=None) -> tuple[Path, float]:
     """Predict shape parameters from one mask stack, save the mesh, return volume."""
     if (subject is None) == (stack_path is None):
         raise ConfigError("reconstruct needs exactly one of --subject or --stack")
     if subject is not None:
         stack = _load_stack(cfg, subject)
-        out_name = f"{subject}.obj"
     else:
         stack = load_mask_stack(stack_path)[0]
-        out_name = Path(stack_path).resolve().parent.name + ".obj"
+        subject = Path(stack_path).resolve().parent.name
     space = shape_space.load_ssm(cfg.ssm_stem)
     params = regressor.load_weights(cfg.weights_stem)
     mesh = shape_space.reconstruct(space, regressor.forward(params, stack))
-    out_path = cfg.output_dir / "recon" / out_name
+    volume = _predicted_volume(mesh, subject)
+    out_path = cfg.output_dir / "recon" / f"{subject}.obj"
     out_path.parent.mkdir(parents=True, exist_ok=True)
     save_mesh(mesh, out_path)
-    return out_path, signed_volume(mesh)
+    return out_path, volume
 
 
 def cmd_evaluate(cfg: PipelineConfig) -> tuple[Path, Path]:
@@ -246,7 +259,7 @@ def cmd_evaluate(cfg: PipelineConfig) -> tuple[Path, Path]:
         else:
             alpha = regressor.forward(params, _load_stack(cfg, sid))
             pred_mesh = shape_space.reconstruct(space, alpha)
-            pred_volume = signed_volume(pred_mesh)
+            pred_volume = _predicted_volume(pred_mesh, sid)
         pred = metrics.mesh_metrics(pred_mesh, truth, n_samples, seed)
         base = metrics.mesh_metrics(baseline, truth, n_samples, seed)
         return {

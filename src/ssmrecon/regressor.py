@@ -5,6 +5,17 @@ The network is deliberately small: y = W2 @ relu(W1 @ x + b1) + b2 over a
 and a unit-scale learning rate are well conditioned. Training is plain
 seeded mini-batch gradient descent with early stopping on a held-out
 validation split.
+
+Training runs in the dual form of the first layer (Hastie, Tibshirani &
+Friedman, *ESL* 2nd ed., section 18.3.5, shortcuts when p >> N). The
+gradient of W1 for a batch is ``d_hidden.T @ x_batch``, a combination of
+training rows, so every step keeps W1 = W1_0 + C @ X_train with C only
+H x n_train. The pre-activation of any row x is then
+``x @ W1_0.T + (x @ X_train.T) @ C.T + b1``; both products with x are
+computed once, and a step updates the batch's columns of C. This is the
+same sequence of SGD iterates in exact arithmetic (only the rounding
+differs), and no step touches a D-wide array: W1 is built once, from the
+best C.
 """
 from __future__ import annotations
 
@@ -125,10 +136,14 @@ def forward(params: MlpParams, stack) -> np.ndarray:
     return params.w2 @ hidden + params.b2
 
 
-def _forward_batch(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    pre = x @ params.w1.T + params.b1
+def _head(pre: np.ndarray, w2: np.ndarray, b2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden activations and predictions from first-layer pre-activations."""
     hidden = np.maximum(pre, 0.0)
-    return hidden, hidden @ params.w2.T + params.b2
+    return hidden, hidden @ w2.T + b2
+
+
+def _forward_batch(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return _head(x @ params.w1.T + params.b1, params.w2, params.b2)
 
 
 def _as_batch(pairs, n_inputs: int) -> tuple[np.ndarray, np.ndarray]:
@@ -140,22 +155,32 @@ def _as_batch(pairs, n_inputs: int) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _mse(params: MlpParams, x: np.ndarray, y: np.ndarray) -> float:
-    _, pred = _forward_batch(params, x)
-    return float(((pred - y) ** 2).sum(axis=1).mean() / params.n_outputs)
+def _mse(pred: np.ndarray, y: np.ndarray) -> float:
+    return float(((pred - y) ** 2).sum(axis=1).mean() / pred.shape[1])
+
+
+def _backprop_from_pre(pre: np.ndarray, y: np.ndarray, w2: np.ndarray, b2: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(d_hidden, g_b1, g_w2, g_b2) of ``_mse`` at first-layer pre-activations ``pre``.
+
+    d_hidden is the gradient with respect to ``pre``, so the W1 gradient of
+    inputs ``x`` is ``d_hidden.T @ x``.
+    """
+    hidden, pred = _head(pre, w2, b2)
+    d_pred = 2.0 * (pred - y) / (len(pre) * len(b2))
+    d_hidden = (d_pred @ w2) * (hidden > 0.0)
+    return d_hidden, d_hidden.sum(axis=0), d_pred.T @ hidden, d_pred.sum(axis=0)
 
 
 def _backprop(params: MlpParams, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
     """Fresh (g_w1, g_b1, g_w2, g_b2) arrays: the gradient of ``_mse``."""
-    hidden, pred = _forward_batch(params, x)
-    d_pred = 2.0 * (pred - y) / (len(x) * params.n_outputs)
-    d_hidden = (d_pred @ params.w2) * (hidden > 0.0)
-    return d_hidden.T @ x, d_hidden.sum(axis=0), d_pred.T @ hidden, d_pred.sum(axis=0)
+    d_hidden, g_b1, g_w2, g_b2 = _backprop_from_pre(x @ params.w1.T + params.b1, y, params.w2, params.b2)
+    return d_hidden.T @ x, g_b1, g_w2, g_b2
 
 
 def loss(params: MlpParams, batch) -> float:
     """Mean over the batch of ||prediction - target||^2 / K."""
-    return _mse(params, *_as_batch(batch, params.n_inputs))
+    x, y = _as_batch(batch, params.n_inputs)
+    return _mse(_forward_batch(params, x)[1], y)
 
 
 def gradient(params: MlpParams, batch) -> MlpParams:
@@ -205,7 +230,21 @@ def train(dataset, cfg: TrainConfig, n_hidden: int = 256) -> tuple[MlpParams, Tr
     x_val, y_val = x_all[val_idx], y_all[val_idx]
 
     log = TrainingLog([], [], [], best_epoch=0, n_train=len(train_idx), n_val=n_val)
-    best = params
+    # dual form (see the module docstring): W1 = w1_0 + c @ x_train
+    w1_0 = params.w1
+    p0_train, p0_val = x_train @ w1_0.T, x_val @ w1_0.T
+    gram_train, gram_val = x_train @ x_train.T, x_val @ x_train.T
+    c = np.zeros((n_hidden, len(x_train)))
+    b1, w2, b2 = (np.array(a) for a in (params.b1, params.w2, params.b2))
+
+    def pre_activation(p0: np.ndarray, gram: np.ndarray) -> np.ndarray:
+        """x @ W1.T + b1 of the rows whose x @ w1_0.T is p0 and x @ x_train.T is gram."""
+        return p0 + gram @ c.T + b1
+
+    def mse(p0: np.ndarray, gram: np.ndarray, y: np.ndarray) -> float:
+        return _mse(_head(pre_activation(p0, gram), w2, b2)[1], y)
+
+    best = None
     best_val = np.inf
     since_best = 0
     lr = cfg.learning_rate
@@ -213,18 +252,17 @@ def train(dataset, cfg: TrainConfig, n_hidden: int = 256) -> tuple[MlpParams, Tr
         perm = rng.permutation(len(x_train))
         for start in range(0, len(perm), cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught here
-                    grads = _backprop(params, x_train[idx], y_train[idx])
-                    # in place: `p - lr * g` would allocate a W1-sized temporary, as grads still holds g
-                    for p, g in zip((params.w1, params.b1, params.w2, params.b2), grads):
-                        g *= lr
-                        np.subtract(p, g, out=g)
-                    params = MlpParams(*grads)
-            except DataError as exc:
-                raise NumericalError(f"training diverged at epoch {epoch}: {exc}") from exc
-        t_loss = _mse(params, x_train, y_train)
-        v_loss = _mse(params, x_val, y_val) if n_val else t_loss
+            with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught here
+                pre = pre_activation(p0_train[idx], gram_train[idx])
+                d_hidden, g_b1, g_w2, g_b2 = _backprop_from_pre(pre, y_train[idx], w2, b2)
+                c[:, idx] -= lr * d_hidden.T  # perm holds each row once, so idx has no repeats
+                b1 -= lr * g_b1
+                w2 -= lr * g_w2
+                b2 -= lr * g_b2
+            if not all(map(_all_finite, (c, b1, w2, b2))):
+                raise NumericalError(f"training diverged at epoch {epoch}: parameters must be finite")
+        t_loss = mse(p0_train, gram_train, y_train)
+        v_loss = mse(p0_val, gram_val, y_val) if n_val else t_loss
         if not np.isfinite(t_loss) or not np.isfinite(v_loss):
             raise NumericalError(f"training diverged at epoch {epoch} (non-finite loss)")
         log.epochs.append(epoch)
@@ -232,14 +270,17 @@ def train(dataset, cfg: TrainConfig, n_hidden: int = 256) -> tuple[MlpParams, Tr
         log.val_loss.append(v_loss)
         if v_loss < best_val:
             best_val = v_loss
-            best = params
+            best = tuple(a.copy() for a in (c, b1, w2, b2))
             log.best_epoch = epoch
             since_best = 0
         else:
             since_best += 1
             if cfg.patience and since_best >= cfg.patience:
                 break
-    return best, log
+    c, b1, w2, b2 = best
+    w1 = c @ x_train
+    w1 += w1_0
+    return MlpParams(w1, b1, w2, b2), log
 
 
 # ---------------------------------------------------------------------------

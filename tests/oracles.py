@@ -4,12 +4,17 @@ Each oracle takes a different computational route from the code it checks:
 point-to-triangle distance goes through plane/segment projections, mask
 fill classifies every pixel centre by ray parity, a section mask counts
 x-parallel ray crossings below the plane instead of cutting the mesh,
-volume comes from voxel column parity counting, and the t CDF from
-adaptive Simpson quadrature.
+volume comes from voxel column parity counting, the t CDF from
+adaptive Simpson quadrature, and regressor training steps the full
+first-layer weight matrix (the primal form) instead of its dual
+coefficients.
 """
 import math
 
 import numpy as np
+
+from ssmrecon.errors import DataError, NumericalError
+from ssmrecon.regressor import MlpParams, TrainingLog, _as_batch, _backprop, _flat_input, _forward_batch, init_params
 
 
 # ---------------------------------------------------------------------------
@@ -241,3 +246,71 @@ def t_cdf_by_quadrature(t, df):
     for a, b in zip(edges[:-1], edges[1:]):
         total += integrate(lambda x: _t_pdf(x, df), a, b)
     return 0.5 + total if t > 0 else 0.5 - total
+
+
+# ---------------------------------------------------------------------------
+# Primal mini-batch SGD: every step forms the (H, D) gradient of W1
+
+
+def _primal_mse(params, x, y):
+    _, pred = _forward_batch(params, x)
+    return float(((pred - y) ** 2).sum(axis=1).mean() / params.n_outputs)
+
+
+def primal_sgd_train(dataset, cfg, n_hidden=256):
+    """``regressor.train`` with W1 itself as the trained variable.
+
+    Same RNG draws (init, split, shuffles), log and errors as the package's
+    dual-form loop; only the first layer's arithmetic route differs.
+    """
+    if len(dataset) < 2:
+        raise DataError("need at least 2 training samples")
+    x_all, y_all = _as_batch(dataset, _flat_input(dataset[0][0]).size)
+    n, k = y_all.shape
+
+    rng = np.random.default_rng(cfg.seed)
+    params = init_params(x_all.shape[1], n_hidden, k, seed=int(rng.integers(2**31 - 1)))
+
+    n_val = int(round(n * cfg.validation_fraction))
+    if cfg.validation_fraction > 0 and n_val == 0:
+        n_val = 1
+    if n - n_val < 1:
+        raise DataError("validation split leaves no training samples")
+    order = rng.permutation(n)
+    val_idx, train_idx = order[:n_val], order[n_val:]
+    x_train, y_train = x_all[train_idx], y_all[train_idx]
+    x_val, y_val = x_all[val_idx], y_all[val_idx]
+
+    log = TrainingLog([], [], [], best_epoch=0, n_train=len(train_idx), n_val=n_val)
+    best = params
+    best_val = np.inf
+    since_best = 0
+    lr = cfg.learning_rate
+    for epoch in range(1, cfg.epochs + 1):
+        perm = rng.permutation(len(x_train))
+        for start in range(0, len(perm), cfg.batch_size):
+            idx = perm[start : start + cfg.batch_size]
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    grads = _backprop(params, x_train[idx], y_train[idx])
+                    old = (params.w1, params.b1, params.w2, params.b2)
+                    params = MlpParams(*(p - lr * g for p, g in zip(old, grads)))
+            except DataError as exc:
+                raise NumericalError(f"training diverged at epoch {epoch}: {exc}") from exc
+        t_loss = _primal_mse(params, x_train, y_train)
+        v_loss = _primal_mse(params, x_val, y_val) if n_val else t_loss
+        if not np.isfinite(t_loss) or not np.isfinite(v_loss):
+            raise NumericalError(f"training diverged at epoch {epoch} (non-finite loss)")
+        log.epochs.append(epoch)
+        log.train_loss.append(t_loss)
+        log.val_loss.append(v_loss)
+        if v_loss < best_val:
+            best_val = v_loss
+            best = params
+            log.best_epoch = epoch
+            since_best = 0
+        else:
+            since_best += 1
+            if cfg.patience and since_best >= cfg.patience:
+                break
+    return best, log

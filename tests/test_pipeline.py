@@ -11,7 +11,7 @@ from ssmrecon.cli import main
 from ssmrecon.config import load_config
 from ssmrecon.errors import DataError
 from ssmrecon.metrics import rmse
-from ssmrecon.mesh import load_mesh, signed_volume
+from ssmrecon.mesh import load_mesh, oriented_volume_mm3, signed_volume
 from ssmrecon.regressor import load_weights, save_weights
 from ssmrecon.shape_space import load_ssm, reconstruct
 
@@ -238,6 +238,31 @@ def test_reconstruct_checks_each_new_weights_version(small_run, tmp_path):
     sidecar.save(cfg.weights_stem, "mlp", header, [("w1", w1), ("b1", new.b1), ("w2", new.w2), ("b2", new.b2)])
     with pytest.raises(DataError, match="^parameters must be finite"):  # at load, not in reconstruct
         pipeline.cmd_reconstruct(cfg, subject=sid)
+
+
+def test_inward_prediction_is_numerical_error(small_run, tmp_path, capsys):
+    cfg_path = shutil.copytree(small_run[0], tmp_path / "run") / "config.json"
+    cfg = load_config(cfg_path)
+    space = load_ssm(cfg.ssm_stem)
+    # with W1 = 0 every input predicts b2; a large multiple of one mode turns the mean shape inside out
+    inward = [
+        b2
+        for mode in np.eye(space.n_components)
+        for b2 in (scale * mode for scale in (-1e3, 1e3, -1e4, 1e4))
+        if oriented_volume_mm3(reconstruct(space, b2)) < 0
+    ]
+    assert inward
+    old = load_weights(cfg.weights_stem)
+    save_weights(
+        regressor.MlpParams(np.zeros_like(old.w1), np.zeros_like(old.b1), old.w2, inward[0]), cfg.weights_stem
+    )
+    sid = pipeline.split_ids(cfg)[1][0]
+    shutil.rmtree(cfg.output_dir / "recon", ignore_errors=True)  # earlier tests reconstruct into the copied run
+    assert main(["reconstruct", "--config", str(cfg_path), "--subject", sid]) == 3
+    assert f"reconstruction of {sid} is inward-oriented" in capsys.readouterr().err
+    assert not (cfg.output_dir / "recon" / f"{sid}.obj").exists()
+    assert main(["evaluate", "--config", str(cfg_path)]) == 3
+    assert "is inward-oriented" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

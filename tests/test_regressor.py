@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import primal_sgd_train
 from ssmrecon.errors import DataError, NumericalError
 from ssmrecon.regressor import (
     MlpParams,
     TrainConfig,
+    _backprop_from_pre,
     forward,
     gradient,
     init_params,
@@ -167,8 +169,61 @@ def test_full_batch_gradient_permutation_invariant():
         assert np.allclose(getattr(g1, name), getattr(g2, name), atol=1e-12)
 
 
+@pytest.mark.parametrize("trial", range(3))
+def test_dual_step_w1_gradient_matches_backprop(trial):
+    # the training step's route: pre-activations from W1_0 and the Gram of the training rows
+    rng = np.random.default_rng(300 + trial)
+    d, h, k, n = 30, 6, 3, 9
+    x_train = rng.integers(0, 2, size=(n, d)).astype(float)
+    base = init_params(d, h, k, seed=trial)
+    c = rng.normal(scale=0.1, size=(h, n))
+    b1 = rng.normal(scale=0.1, size=h)
+    params = MlpParams(base.w1 + c @ x_train, b1, base.w2, base.b2)
+    idx = rng.permutation(n)[:4]
+    batch = [(x_train[i], rng.normal(size=k)) for i in idx]
+    y = np.stack([t for _, t in batch])
+    pre = x_train[idx] @ base.w1.T + (x_train[idx] @ x_train.T) @ c.T + b1
+    d_hidden, g_b1, g_w2, g_b2 = _backprop_from_pre(pre, y, base.w2, base.b2)
+    g = gradient(params, batch)
+    for dual, primal in ((d_hidden.T @ x_train[idx], g.w1), (g_b1, g.b1), (g_w2, g.w2), (g_b2, g.b2)):
+        assert np.abs(primal).max() > 0
+        assert np.abs(dual - primal).max() <= 1e-12 * np.abs(primal).max()
+
+
 # ---------------------------------------------------------------------------
 # train
+
+
+@pytest.mark.parametrize(
+    "seed, n, batch_size, validation_fraction, patience, epochs",
+    [
+        (21, 12, 3, 0.25, 3, 80),  # early stopping ends the run
+        (22, 10, 5, 0.0, 0, 30),  # no validation split: the train loss decides
+        (23, 13, 4, 0.2, 0, 60),  # 10 train rows: the last batch of each epoch has 2
+    ],
+)
+def test_train_matches_primal_oracle(seed, n, batch_size, validation_fraction, patience, epochs):
+    data = toy_batch(seed, n, d=24, k=3)
+    cfg = TrainConfig(
+        learning_rate=0.05,
+        epochs=epochs,
+        batch_size=batch_size,
+        validation_fraction=validation_fraction,
+        patience=patience,
+        seed=seed,
+    )
+    dual, log = train(data, cfg, n_hidden=8)
+    primal, ref = primal_sgd_train(data, cfg, n_hidden=8)
+    assert log.best_epoch == ref.best_epoch
+    assert len(log.epochs) == len(ref.epochs)
+    assert (log.n_train, log.n_val) == (ref.n_train, ref.n_val)
+    if patience:
+        assert len(log.epochs) < epochs
+    for got, want in ((log.train_loss, ref.train_loss), (log.val_loss, ref.val_loss)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    for name in ("w1", "b1", "w2", "b2"):
+        got, want = getattr(dual, name), getattr(primal, name)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_memorizes_toy_set():
@@ -212,6 +267,21 @@ def test_divergence_reported_with_epoch():
     cfg = TrainConfig(learning_rate=1e18, epochs=10, batch_size=2, validation_fraction=0.0, patience=0, seed=5)
     with pytest.raises(NumericalError, match="epoch"):
         train(data, cfg, n_hidden=4)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("learning_rate, seed", [(1e18, 5), (1e18, 6), (1e6, 5)])
+def test_divergence_matches_primal_oracle(learning_rate, seed):
+    # (1e18, 5) diverges inside an epoch's steps, the others at an epoch's loss
+    data = toy_batch(9, 6, d=8, k=2)
+    cfg = TrainConfig(
+        learning_rate=learning_rate, epochs=10, batch_size=2, validation_fraction=0.0, patience=0, seed=seed
+    )
+    with pytest.raises(NumericalError) as want:
+        primal_sgd_train(data, cfg, n_hidden=4)
+    with pytest.raises(NumericalError) as got:
+        train(data, cfg, n_hidden=4)
+    assert str(got.value) == str(want.value)
 
 
 def test_best_epoch_snapshot_survives_later_steps():

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -85,8 +86,18 @@ class TriMesh:
         return self.vertices.mean(axis=0)
 
     def with_vertices(self, vertices: np.ndarray) -> "TriMesh":
-        """Same topology, new vertex positions."""
-        return TriMesh(vertices, self.faces)
+        """Same topology, new vertex positions; a closedness result already found is kept."""
+        mesh = TriMesh(vertices, self.faces)
+        if "_boundary" in self.__dict__:
+            mesh.__dict__["_boundary"] = self._boundary
+        return mesh
+
+    @cached_property
+    def _boundary(self) -> np.ndarray:
+        """``boundary_edges(self)``, found once: it depends only on the immutable faces."""
+        bad = boundary_edges(self)
+        bad.flags.writeable = False
+        return bad
 
     def face_areas(self) -> np.ndarray:
         tri = self.triangle_corners()
@@ -200,12 +211,12 @@ def boundary_edges(mesh: TriMesh) -> np.ndarray:
 def is_closed(mesh: TriMesh) -> bool:
     if mesh.is_empty:
         return True
-    return len(boundary_edges(mesh)) == 0
+    return len(mesh._boundary) == 0
 
 
 def validate_closed(mesh: TriMesh) -> None:
     """Raise DataError naming an unmatched edge if the mesh is not closed."""
-    bad = boundary_edges(mesh)
+    bad = mesh._boundary
     if len(bad):
         a, b = int(bad[0, 0]), int(bad[0, 1])
         raise DataError(f"mesh is not closed: edge ({a}, {b}) is not shared by exactly two faces")

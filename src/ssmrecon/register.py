@@ -13,6 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import factorized
 from scipy.spatial import cKDTree
+from scipy.spatial.transform import Rotation
 
 from .errors import DataError, NumericalError
 from .mesh import TriMesh, validate_closed
@@ -104,49 +105,104 @@ def _uniform_laplacian(mesh: TriMesh) -> sp.csr_matrix:
 
 @dataclass
 class FitLog:
-    """Per-iteration diagnostics from nonrigid_fit."""
+    """Diagnostics from nonrigid_fit.
+
+    The rigid initialisation records the steps each of its two phases took
+    and whether the phase stopped at its round cap rather than by stalling;
+    the non-rigid loop records one entry per iteration.
+    """
 
     mean_surface_distance: list = field(default_factory=list)
     objective: list = field(default_factory=list)
     iterations_run: int = 0
+    plane_rounds: int = 0
+    plane_capped: bool = False
+    vertex_rounds: int = 0
+    vertex_capped: bool = False
 
 
-def _kabsch_rounds(v: np.ndarray, match_fn, tol: float, max_rounds: int) -> np.ndarray:
-    """Iterate Kabsch alignment onto ``match_fn(v)`` until improvement stalls."""
+def _icp_rounds(v: np.ndarray, match_fn, step_fn, tol: float, max_rounds: int) -> tuple[np.ndarray, int]:
+    """Apply ``step_fn(v, *match_fn(v))`` until the mean distance stalls.
+
+    A step of None keeps the current pose and ends the rounds. Returns the
+    pose and the number of steps applied, which is ``max_rounds`` exactly
+    when the cap ended the rounds.
+    """
     prev = np.inf
-    for _ in range(max_rounds):
+    for r in range(max_rounds):
         matched, dist = match_fn(v)
         mean_d = float(dist.mean())
         if not np.isfinite(mean_d):
             raise NumericalError("non-finite distances during rigid initialisation")
         if prev - mean_d < 0.01 * tol:
-            break
+            return v, r
         prev = mean_d
-        try:
-            v = rigid_align(v, matched).apply(v)
-        except NumericalError:
-            break  # near-degenerate correspondences: keep current pose
-    return v
+        step = step_fn(v, matched, dist)
+        if step is None:
+            return v, r
+        v = step.apply(v)
+    return v, max_rounds
 
 
-def _rigid_icp_init(vertices: np.ndarray, index: SurfaceIndex, tol: float, max_rounds: int = 60) -> np.ndarray:
-    """Centroid shift plus Kabsch rounds over nearest-point pairs.
+def _plane_step(v: np.ndarray, feet: np.ndarray, dist: np.ndarray) -> RigidTransform | None:
+    """Linearised point-to-plane step (Chen & Medioni 1992; Low, UNC TR04-004).
 
-    Surface-foot correspondences drive the broad descent but slide
-    tangentially on smooth shapes, so a nearest-vertex phase follows; once
-    the pose error drops under the vertex spacing those pairs become the
-    true correspondence and the remaining motion is recovered essentially
-    exactly.
+    The normal at each foot is the distance gradient n_i = (v_i - q_i) / d_i:
+    the face normal at a foot inside a face, the generalised normal at an
+    edge or a vertex. Solves the least squares
+
+        [ (v_i - c) x n_i , n_i ] [w; t] = -d_i
+
+    for a small rotation vector w about the centroid c and a translation t,
+    then rotates by w exactly. The min-norm solution leaves rotation about an
+    axis through c that the surface does not constrain (a sphere's, with c at
+    its centre) at zero. Vertices on the surface (d_i == 0) have no normal
+    and are left out; with none left the pose is kept (None).
+    """
+    off = dist > 0
+    if not off.any():
+        return None
+    c = v.mean(axis=0)
+    n = (v[off] - feet[off]) / dist[off, None]
+    a = np.hstack([np.cross(v[off] - c, n), n])
+    x = np.linalg.lstsq(a, -dist[off], rcond=None)[0]
+    r = Rotation.from_rotvec(x[:3]).as_matrix()
+    return RigidTransform(r, c + x[3:] - r @ c)
+
+
+def _kabsch_step(v: np.ndarray, matched: np.ndarray, dist: np.ndarray) -> RigidTransform | None:
+    try:
+        return rigid_align(v, matched)
+    except NumericalError:
+        return None  # near-degenerate correspondences: keep current pose
+
+
+def _rigid_icp_init(
+    vertices: np.ndarray, index: SurfaceIndex, tol: float, log: FitLog, max_rounds: int = 60
+) -> np.ndarray:
+    """Centroid shift, point-to-plane rounds, then nearest-vertex Kabsch rounds.
+
+    Each plane round matches every vertex to its closest surface point and
+    takes one linearised point-to-plane step, which converges in a few
+    rounds where point-to-point pairs would slide along the surface. A
+    nearest-vertex phase follows: once the pose error drops under the vertex
+    spacing those pairs become the true correspondence and the remaining
+    motion is recovered essentially exactly. Both phases stop when the mean
+    distance improves by less than 1% of ``tol``, or after ``max_rounds``;
+    ``log`` records the steps and caps of each.
     """
     v = vertices + (index.mesh.centroid() - vertices.mean(axis=0))
-    v = _kabsch_rounds(v, index.query, tol, max_rounds)
+    v, log.plane_rounds = _icp_rounds(v, index.query, _plane_step, tol, max_rounds)
     vertex_tree = cKDTree(index.mesh.vertices)
 
     def match_vertices(x):
         dist, idx = vertex_tree.query(x)
         return index.mesh.vertices[idx], dist
 
-    return _kabsch_rounds(v, match_vertices, tol, max_rounds)
+    v, log.vertex_rounds = _icp_rounds(v, match_vertices, _kabsch_step, tol, max_rounds)
+    log.plane_capped = log.plane_rounds == max_rounds
+    log.vertex_capped = log.vertex_rounds == max_rounds
+    return v
 
 
 def nonrigid_fit(
@@ -171,13 +227,13 @@ def nonrigid_fit(
     validate_closed(template)
 
     index = SurfaceIndex(target)
-    v = _rigid_icp_init(template.vertices.copy(), index, cfg.tol_mm)
+    log = FitLog()
+    v = _rigid_icp_init(template.vertices.copy(), index, cfg.tol_mm, log)
 
     lap = _uniform_laplacian(template)
     system = (sp.identity(template.n_vertices, format="csc") + cfg.smoothness * (lap.T @ lap).tocsc())
     solve = factorized(system)
 
-    log = FitLog()
     for it in range(cfg.iterations):
         matched, dist = index.query(v)
         c = matched - v

@@ -27,6 +27,8 @@ import numpy as np
 from . import sidecar
 from .errors import DataError, NumericalError
 
+_W1_BLOCK_ROWS = 16  # rows of the final W1 built per product: 14 MB at 110,592 inputs
+
 
 def _all_finite(arr: np.ndarray) -> bool:
     """Whether every value of ``arr`` is finite, at the cost of one BLAS dot.
@@ -278,9 +280,11 @@ def train(dataset, cfg: TrainConfig, n_hidden: int = 256) -> tuple[MlpParams, Tr
             if cfg.patience and since_best >= cfg.patience:
                 break
     c, b1, w2, b2 = best
-    w1 = c @ x_train
-    w1 += w1_0
-    return MlpParams(w1, b1, w2, b2), log
+    # W1 = w1_0 + c @ x_train, added into w1_0 (owned here) a block of rows at
+    # a time, so no second D-wide (H, D) array is ever held
+    for rows in range(0, n_hidden, _W1_BLOCK_ROWS):
+        w1_0[rows : rows + _W1_BLOCK_ROWS] += c[rows : rows + _W1_BLOCK_ROWS] @ x_train
+    return MlpParams(w1_0, b1, w2, b2), log
 
 
 # ---------------------------------------------------------------------------

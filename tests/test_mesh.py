@@ -100,8 +100,21 @@ def test_inverted_cube_same_magnitude():
 def test_open_mesh_rejected_naming_edge():
     cube = M.cube(1.0)
     open_mesh = M.TriMesh(cube.vertices, cube.faces[:-1])
-    with pytest.raises(DataError, match=r"edge \(\d+, \d+\)"):
-        M.signed_volume(open_mesh)
+    # the edges found on the first call are kept, also by with_vertices; each call still fails
+    for mesh in (open_mesh, open_mesh, open_mesh.with_vertices(2.0 * cube.vertices)):
+        with pytest.raises(DataError, match=r"edge \(\d+, \d+\)"):
+            M.signed_volume(mesh)
+
+
+def test_closedness_found_once_per_topology(monkeypatch):
+    found = []
+    real = M.boundary_edges
+    monkeypatch.setattr(M, "boundary_edges", lambda mesh: found.append(mesh) or real(mesh))
+    sphere = M.icosphere(10.0, 2)
+    M.validate_closed(sphere)
+    M.validate_closed(sphere)
+    M.validate_closed(sphere.with_vertices(2.0 * sphere.vertices))
+    assert len(found) == 1
 
 
 def test_volume_rigid_invariance(icosphere10):

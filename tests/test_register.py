@@ -86,16 +86,32 @@ def test_rigid_transform_rejects_reflection():
 
 def test_fit_identity_is_fixed_point(blob_pair):
     template, _ = blob_pair
-    fitted = nonrigid_fit(template, template)
+    fitted, log = nonrigid_fit(template, template, return_log=True)
     assert np.abs(fitted.vertices - template.vertices).max() < FitConfig().tol_mm
+    # every vertex lies on the target (d_i == 0), so no plane step moves the pose
+    assert log.plane_rounds == 0
 
 
 def test_fit_recovers_rigid_motion(blob_pair):
     template, _ = blob_pair
     rot = rotation_about_z(np.deg2rad(30.0))
-    target = template.with_vertices(template.vertices @ rot.T + np.array([5.0, -3.0, 8.0]))
-    fitted = nonrigid_fit(template, target)
-    assert metrics.msd(fitted, target, 4000, 0) < 0.1
+    # the second target lies about 500 mm from the template
+    for shift in ([5.0, -3.0, 8.0], [300.0, -250.0, 320.0]):
+        target = template.with_vertices(template.vertices @ rot.T + np.array(shift))
+        fitted, log = nonrigid_fit(template, target, return_log=True)
+        assert metrics.msd(fitted, target, 4000, 0) < 0.1
+        assert log.plane_rounds > 0 and not log.plane_capped
+
+
+def test_fit_sphere_target_is_not_rotated():
+    # a sphere leaves rotation about its centre unconstrained: the plane steps
+    # must not fail on it, nor turn the template
+    target = M.icosphere(60.0, 3)
+    template = M.icosphere(72.0, 3)
+    template = template.with_vertices(template.vertices + np.array([300.0, -250.0, 320.0]))
+    fitted, log = nonrigid_fit(template, target, return_log=True)
+    assert not (log.plane_capped or log.vertex_capped)
+    assert np.abs(fitted.vertices - target.vertices).max() < 0.05
 
 
 def test_fit_tracks_smooth_bump(blob_pair):

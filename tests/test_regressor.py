@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import primal_sgd_train
+from ssmrecon import regressor
 from ssmrecon.errors import DataError, NumericalError
 from ssmrecon.regressor import (
     MlpParams,
@@ -202,7 +203,8 @@ def test_dual_step_w1_gradient_matches_backprop(trial):
         (23, 13, 4, 0.2, 0, 60),  # 10 train rows: the last batch of each epoch has 2
     ],
 )
-def test_train_matches_primal_oracle(seed, n, batch_size, validation_fraction, patience, epochs):
+def test_train_matches_primal_oracle(seed, n, batch_size, validation_fraction, patience, epochs, monkeypatch):
+    monkeypatch.setattr(regressor, "_W1_BLOCK_ROWS", 3)  # the final W1 of 8 rows is built as 3 + 3 + 2
     data = toy_batch(seed, n, d=24, k=3)
     cfg = TrainConfig(
         learning_rate=0.05,

@@ -1,18 +1,20 @@
 """Exact nearest-point queries against triangle mesh surfaces.
 
-The accelerated path prunes candidate triangles with a k-d tree over face
-centroids, then refines exactly; a brute-force path evaluates every
-triangle and is used both as a fallback and as a test oracle.
+`SurfaceIndex` prunes candidate triangles with a k-d tree over face
+centroids, then refines exactly; `closest_points_brute` evaluates every
+triangle and is the test oracle. Both return the closest point of the face
+with the smallest squared distance and, among tied faces, the lowest face id,
+so their points agree bit for bit.
 """
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import DataError
 from .mesh import TriMesh
-
-_KNN_CANDIDATES = 8
 
 
 def closest_on_triangles(points: np.ndarray, tri: np.ndarray) -> np.ndarray:
@@ -94,8 +96,8 @@ def closest_on_triangles(points: np.ndarray, tri: np.ndarray) -> np.ndarray:
 def closest_points_brute(points: np.ndarray, mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
     """Exact closest surface points by evaluating every triangle.
 
-    Returns (closest, distances). Quadratic in points x faces; intended for
-    small meshes and as the oracle for the accelerated path.
+    Returns (closest, distances). Quadratic in points x faces; the oracle for
+    `SurfaceIndex`. Among tied faces the lowest face id wins.
     """
     if mesh.is_empty:
         raise DataError("cannot query an empty mesh")
@@ -124,9 +126,11 @@ def closest_points_brute(points: np.ndarray, mesh: TriMesh) -> tuple[np.ndarray,
 class SurfaceIndex:
     """Exact nearest-surface queries accelerated by a centroid k-d tree.
 
-    Candidates from a k-NN centroid query give an upper bound on the true
-    distance; every face whose centroid ball could still beat that bound is
-    then checked exactly, so results match the brute-force path.
+    The face of the nearest centroid bounds each point's distance from above.
+    Every face whose centroid lies within that bound plus the face's spread
+    (centroid to farthest corner) is then tested exactly, and the winner is
+    the smallest squared distance, ties going to the lowest face id: the rule
+    of `closest_points_brute`, so points and distances match it exactly.
     """
 
     def __init__(self, mesh: TriMesh):
@@ -135,53 +139,38 @@ class SurfaceIndex:
         self.mesh = mesh
         self.tri = mesh.triangle_corners()
         self.centroids = self.tri.mean(axis=1)
-        # max distance from any centroid to its triangle's farthest corner
-        spread = np.linalg.norm(self.tri - self.centroids[:, None, :], axis=2).max(axis=1)
-        self.max_spread = float(spread.max())
+        # distance from each centroid to its triangle's farthest corner
+        self.spread = np.linalg.norm(self.tri - self.centroids[:, None, :], axis=2).max(axis=1)
+        self.max_spread = float(self.spread.max())
         self.tree = cKDTree(self.centroids)
 
     def query(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Return (closest points, distances) for an (n, 3) array of queries."""
         p = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        if not np.isfinite(p).all():
+            raise DataError("query points must be finite")
         n = len(p)
-        f = len(self.tri)
-        if f <= _KNN_CANDIDATES * 4:
-            return closest_points_brute(p, self.mesh)
+        _, nearest = self.tree.query(p, k=1)
+        bound = np.sqrt(((closest_on_triangles(p, self.tri[nearest]) - p) ** 2).sum(axis=1))
+        # slack for rounding in the centroid distances, so no tied face is pruned
+        limit = bound + 1e-9 * (np.abs(p).max(axis=1) + bound + self.max_spread)
 
-        k = min(_KNN_CANDIDATES, f)
-        _, knn_idx = self.tree.query(p, k=k)
-        knn_idx = np.atleast_2d(knn_idx)
-        flat_pts = np.repeat(p, k, axis=0)
-        cand = closest_on_triangles(flat_pts, self.tri[knn_idx.ravel()]).reshape(n, k, 3)
-        d2 = ((cand - p[:, None, :]) ** 2).sum(axis=2)
-        sel = d2.argmin(axis=1)
-        best_pt = cand[np.arange(n), sel]
-        best_d = np.sqrt(d2[np.arange(n), sel])
-
-        # any face whose centroid lies farther than best + spread cannot win
-        radii = best_d + self.max_spread + 1e-12
-        balls = self.tree.query_ball_point(p, radii)
-        counts = np.fromiter((len(b) for b in balls), dtype=np.int64, count=n)
-        if counts.sum() == 0:
-            return best_pt, best_d
-        flat_faces = np.concatenate([np.asarray(b, dtype=np.int64) for b in balls if len(b)])
+        balls = self.tree.query_ball_point(p, limit + self.max_spread)
+        counts = np.fromiter(map(len, balls), dtype=np.int64, count=n)
+        faces = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.int64, count=int(counts.sum()))
+        del balls  # free the lists before the exact test, where the query peaks in memory
         owners = np.repeat(np.arange(n), counts)
-        # faces the k-NN pass already tested cannot beat best_d strictly
-        fresh = ~(knn_idx[owners] == flat_faces[:, None]).any(axis=1)
-        owners, flat_faces = owners[fresh], flat_faces[fresh]
-        cand = closest_on_triangles(p[owners], self.tri[flat_faces])
-        d = np.linalg.norm(cand - p[owners], axis=1)
-        order = np.argsort(d, kind="stable")
-        owners_sorted = owners[order]
-        first = np.full(n, -1, dtype=np.int64)
-        pos_first = np.unique(owners_sorted, return_index=True)
-        first[pos_first[0]] = order[pos_first[1]]
-        has = first >= 0
-        better = np.zeros(n, dtype=bool)
-        better[has] = d[first[has]] < best_d[has]
-        best_pt[better] = cand[first[better]]
-        best_d[better] = d[first[better]]
-        return best_pt, best_d
+        # a face cannot come closer than its centroid distance minus its spread
+        gap = np.sqrt(((self.centroids[faces] - p[owners]) ** 2).sum(axis=1)) - self.spread[faces]
+        keep = gap <= limit[owners]
+        owners, faces = owners[keep], faces[keep]
+
+        q = p[owners]
+        cand = closest_on_triangles(q, self.tri[faces])
+        d2 = ((cand - q) ** 2).sum(axis=1)
+        order = np.lexsort((faces, d2, owners))
+        first = order[np.diff(owners[order], prepend=-1) != 0]
+        return cand[first], np.sqrt(d2[first])
 
 
 def closest_points(points: np.ndarray, mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:

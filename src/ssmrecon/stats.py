@@ -1,8 +1,7 @@
 """Paired comparison of two volume series: mean difference, SEM, CI, t, p.
 
-The Student-t machinery is self-contained: the CDF goes through the
-regularized incomplete beta function (continued fraction), the quantile
-inverts it by bisection. Sample statistics use the n-1 divisor.
+The Student-t CDF and its inverse come from `scipy.special` (`stdtr`,
+`stdtrit`). Sample statistics use the n-1 divisor.
 """
 from __future__ import annotations
 
@@ -10,10 +9,9 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import DataError
+from scipy import special
 
-_BETACF_MAX_ITER = 300
-_BETACF_TOL = 1e-14
+from .errors import DataError
 
 
 @dataclass(frozen=True)
@@ -70,100 +68,20 @@ def format_p(p: float) -> str:
 # Student-t distribution
 
 
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta function (modified Lentz)."""
-    tiny = 1e-300
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, _BETACF_MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _BETACF_TOL:
-            return h
-    return h  # converged to working precision in practice well before the cap
-
-
-def _reg_inc_beta(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b)."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
-
 def t_cdf(t: float, df: int) -> float:
     """Student-t cumulative distribution function."""
     if df < 1:
         raise DataError("degrees of freedom must be >= 1")
-    if t == 0.0:
-        return 0.5
-    x = df / (df + t * t)
-    tail = 0.5 * _reg_inc_beta(df / 2.0, 0.5, x)
-    return 1.0 - tail if t > 0 else tail
+    return float(special.stdtr(df, t))
 
 
 def t_quantile(p: float, df: int) -> float:
-    """Inverse t CDF by bisection; |t_cdf(result) - p| < 1e-10."""
+    """Inverse Student-t cumulative distribution function."""
     if not (0.0 < p < 1.0):
         raise DataError("p must lie strictly inside (0, 1)")
     if df < 1:
         raise DataError("degrees of freedom must be >= 1")
-    if p == 0.5:
-        return 0.0
-    lo, hi = -1.0, 1.0
-    while t_cdf(lo, df) > p:
-        lo *= 2.0
-        if lo < -1e12:
-            break
-    while t_cdf(hi, df) < p:
-        hi *= 2.0
-        if hi > 1e12:
-            break
-    mid = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if t_cdf(mid, df) < p:
-            lo = mid
-        else:
-            hi = mid
-        # bisect to a tight bracket in t itself: stopping on the CDF error
-        # alone loses precision far in the tails where the density is tiny
-        if hi - lo < 1e-12 * max(1.0, abs(mid)):
-            break
-    return 0.5 * (lo + hi)
+    return float(special.stdtrit(df, p))
 
 
 # ---------------------------------------------------------------------------

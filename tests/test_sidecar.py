@@ -6,7 +6,7 @@ from ssmrecon import mesh as M
 from ssmrecon.errors import DataError
 from ssmrecon.regressor import MlpParams, init_params, load_weights, save_weights
 from ssmrecon.shape_space import build_ssm, load_ssm, save_ssm
-from ssmrecon.spatial import SurfaceIndex, closest_points_brute
+from ssmrecon.spatial import SurfaceIndex, closest_points, closest_points_brute
 
 
 @pytest.fixture(scope="module")
@@ -159,3 +159,40 @@ def test_query_matches_brute_off_surface():
         direction /= np.linalg.norm(direction, axis=1, keepdims=True)
         offset = rng.uniform(5.0, 20.0, size=(len(samples), 1))
         _assert_matches_brute(mesh, samples + offset * direction)
+
+
+def _tie_heavy_points(mesh: M.TriMesh, seed: int) -> np.ndarray:
+    """Vertices, edge midpoints, and points 0.1-20 mm off the surface."""
+    rng = np.random.default_rng(seed)
+    tri = mesh.triangle_corners()
+    midpoints = np.concatenate([(tri[:, i] + tri[:, (i + 1) % 3]) / 2 for i in range(3)])
+    samples = M.surface_samples(mesh, 300, seed=seed)
+    direction = rng.normal(size=samples.shape)
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    offset = rng.uniform(0.1, 20.0, size=(len(samples), 1))
+    return np.concatenate([mesh.vertices, midpoints, samples + offset * direction])
+
+
+@pytest.mark.parametrize("mesh", [_cube_row(), M.cube(30.0), M.icosphere(40.0, 2), M.icosphere(40.0, 3)],
+                         ids=["four-cubes", "cube", "icosphere-2", "icosphere-3"])
+def test_query_bit_equal_to_brute_and_order_free(mesh):
+    """Tied faces resolve to the lowest face id, as in the oracle, whatever the query order."""
+    points = _tie_heavy_points(mesh, seed=len(mesh.faces))
+    index = SurfaceIndex(mesh)
+    fast_pt, fast_d = index.query(points)
+    brute_pt, brute_d = closest_points_brute(points, mesh)
+    assert np.array_equal(fast_d, brute_d)
+    assert np.array_equal(fast_pt, brute_pt)
+    perm = np.random.default_rng(1).permutation(len(points))
+    shuffled_pt, shuffled_d = index.query(points[perm])
+    assert np.array_equal(shuffled_pt, fast_pt[perm])
+    assert np.array_equal(shuffled_d, fast_d[perm])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_query_point_is_data_error(bad):
+    mesh = M.icosphere(10.0, 2)
+    with pytest.raises(DataError, match="finite"):
+        SurfaceIndex(mesh).query(np.array([[0.0, 0.0, 0.0], [bad, 0.0, 0.0]]))
+    with pytest.raises(DataError, match="finite"):
+        closest_points([[bad, 0.0, 0.0]], mesh)

@@ -2,7 +2,8 @@
 """Sweep the pipeline knobs and tabulate volume RMSE per variant.
 
 Covers mask resolution, number of slices, retained components and
-population size, each varied against a shared base configuration.
+population size, each varied against the benchmark's acceptance-60
+configuration (``ACCEPTANCE`` in perfbench/workloads.py).
 
     python scripts/run_ablations.py --workdir runs/ablations
 """
@@ -15,20 +16,8 @@ from pathlib import Path
 from ssmrecon import pipeline
 from ssmrecon.config import load_config
 
-BASE_DOC = {
-    "paths": {
-        "population_dir": "population",
-        "ssm": "out/model",
-        "weights": "out/weights",
-        "masks_dir": "out/masks",
-        "output_dir": "out",
-    },
-    "synth": {"n": 60, "seed": 2024, "volume_range": [800, 1600], "jitter_levels": [3, 4]},
-    "ssm": {"components": 20},
-    "slicer": {"offsets": [0.35, 0.5, 0.65], "resolution": 192},
-    "train": {"epochs": 200, "patience": 30, "seed": 0},
-    "split": {"train_fraction": 0.75, "seed": 11},
-}
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # the repository root
+from perfbench.workloads import ACCEPTANCE  # noqa: E402
 
 VARIANTS = [
     ("resolution=192 (base)", {}),
@@ -41,7 +30,7 @@ VARIANTS = [
 
 
 def run_variant(root: Path, overrides: dict) -> dict:
-    doc = json.loads(json.dumps(BASE_DOC))
+    doc = json.loads(json.dumps(ACCEPTANCE))
     for section, payload in overrides.items():
         doc.setdefault(section, {}).update(payload)
     root.mkdir(parents=True, exist_ok=True)

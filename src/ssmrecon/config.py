@@ -29,7 +29,6 @@ class PathsConfig:
 @dataclass(frozen=True)
 class SsmSection:
     components: int = 50
-    train_only: bool = True  # build the shape space from the training split only
 
     def __post_init__(self):
         if self.components < 1:
@@ -121,12 +120,18 @@ class PipelineConfig:
 
 
 def _build_section(name: str, cls, payload: dict):
-    field_names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(payload) - field_names
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    unknown = set(payload) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown key(s) in section {name!r}: {', '.join(sorted(unknown))}")
     converted = {}
     for key, value in payload.items():
+        kind = type(defaults[key])
+        if kind in (bool, int, float, str):
+            # a value takes its default's type; an int may stand for a float, a bool for nothing else
+            allowed = (int, float) if kind is float else kind
+            if not isinstance(value, allowed) or (isinstance(value, bool) and kind is not bool):
+                raise ConfigError(f"bad value in section {name!r}: {key} must be {kind.__name__}, got {value!r}")
         if isinstance(value, list):
             value = tuple(value)
         converted[key] = value

@@ -114,18 +114,17 @@ def cmd_synth(cfg: PipelineConfig) -> Path:
 
 
 def cmd_build_ssm(cfg: PipelineConfig) -> Path:
-    """Register the population to its first mesh, align, and fit the PCA space.
+    """Register the training split to its first mesh, align, and fit the PCA space.
 
     Also records the dataset's shared slicing window (training bounding box
     plus a 10% margin) and the registered meshes that training targets are
     projected from.
     """
     train, _ = split_ids(cfg)
-    ids = train if cfg.ssm.train_only else population_ids(cfg)
-    if len(ids) < 2:
+    if len(train) < 2:
         raise DataError("need at least 2 subjects to build a shape space")
-    meshes = {sid: _subject_mesh(cfg, sid) for sid in ids}
-    reference = meshes[ids[0]]
+    meshes = {sid: _subject_mesh(cfg, sid) for sid in train}
+    reference = meshes[train[0]]
 
     def fit_one(sid: str) -> TriMesh:
         try:
@@ -133,19 +132,19 @@ def cmd_build_ssm(cfg: PipelineConfig) -> Path:
         except (DataError, NumericalError) as exc:
             raise type(exc)(f"subject {sid}: {exc}") from exc
 
-    fitted = _parallel_map(fit_one, ids)
+    fitted = _parallel_map(fit_one, train)
     aligned = generalized_procrustes(fitted)
 
-    n_components = min(cfg.ssm.components, len(ids) - 1)
+    n_components = min(cfg.ssm.components, len(train) - 1)
     space = shape_space.build_ssm(aligned, n_components)
     manifest_path, _ = shape_space.save_ssm(space, cfg.ssm_stem)
 
-    window = window_for_population([meshes[sid] for sid in train])
+    window = window_for_population(meshes.values())
     _write_json(_window_path(cfg), {"format_version": 1, "window": window.as_dict()})
 
     reg_dir = _registered_dir(cfg)
     reg_dir.mkdir(parents=True, exist_ok=True)
-    for sid, mesh in zip(ids, aligned):
+    for sid, mesh in zip(train, aligned):
         save_mesh(mesh, reg_dir / f"{sid}.obj")
     return manifest_path
 

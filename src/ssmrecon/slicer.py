@@ -83,6 +83,8 @@ def check_protocol(offsets, resolution: int) -> tuple:
         raise DataError("plane offsets must lie strictly inside (0, 1)")
     if any(b <= a for a, b in zip(offs, offs[1:])):
         raise DataError("plane offsets must be strictly increasing")
+    if not isinstance(resolution, (int, np.integer)):
+        raise DataError("resolution must be an integer")
     if resolution < 16:
         raise DataError("resolution must be >= 16")
     return offs
@@ -225,9 +227,10 @@ def section_area(loops: list[np.ndarray]) -> float:
 
 
 def rasterize(polygons: list[np.ndarray], window_2d, resolution: int) -> np.ndarray:
-    """Even-odd scanline fill of loops into a binary (R, R) grid.
+    """Even-odd fill of loops into a binary (R, R) grid.
 
-    ``window_2d`` is ((y_lo, z_lo), (y_hi, z_hi)). A pixel is on iff its
+    ``window_2d`` is ((y_lo, z_lo), (y_hi, z_hi)). A pixel is on iff an odd
+    number of loop edges cross its row at or before its centre, i.e. iff its
     centre is inside the polygon set under the even-odd rule; pixel (0, 0)
     sits at the window's minimum corner. Geometry outside the window is
     clipped silently.
@@ -236,35 +239,18 @@ def rasterize(polygons: list[np.ndarray], window_2d, resolution: int) -> np.ndar
         raise DataError("resolution must be >= 16")
     (y_lo, z_lo), (y_hi, z_hi) = window_2d
     r = int(resolution)
-    grid = np.zeros((r, r), dtype=np.uint8)
-    if not polygons:
-        return grid
-    dy = (y_hi - y_lo) / r
-    dz = (z_hi - z_lo) / r
-    y_centres = y_lo + (np.arange(r) + 0.5) * dy
+    y_centres = y_lo + (np.arange(r) + 0.5) * ((y_hi - y_lo) / r)
+    z_centres = z_lo + (np.arange(r) + 0.5) * ((z_hi - z_lo) / r)
+    a = np.concatenate([np.empty((0, 2)), *polygons])
+    b = np.concatenate([np.empty((0, 2)), *(np.roll(loop, -1, axis=0) for loop in polygons)])
 
-    edges = []
-    for loop in polygons:
-        nxt = np.roll(loop, -1, axis=0)
-        keep = loop[:, 0] != nxt[:, 0]  # horizontal edges never cross a scanline
-        edges.append(np.concatenate([loop[keep], nxt[keep]], axis=1))
-    e = np.concatenate(edges, axis=0)
-    if not len(e):
-        return grid
-    y1, z1, y2, z2 = e[:, 0], e[:, 1], e[:, 2], e[:, 3]
-    z_centres = z_lo + (np.arange(r) + 0.5) * dz
-
-    for i, yc in enumerate(y_centres):
-        hits = (y1 <= yc) != (y2 <= yc)  # half-open so shared vertices count once
-        if not hits.any():
-            continue
-        t = (yc - y1[hits]) / (y2[hits] - y1[hits])
-        zs = np.sort(z1[hits] + t * (z2[hits] - z1[hits]))
-        for a, b in zip(zs[0::2], zs[1::2]):
-            lo = np.searchsorted(z_centres, a, side="left")
-            hi = np.searchsorted(z_centres, b, side="left")
-            grid[i, lo:hi] = 1
-    return grid
+    # half-open test: a shared vertex counts once, a horizontal edge never
+    yc = y_centres[:, None]
+    rows, e = np.nonzero((a[:, 0] <= yc) != (b[:, 0] <= yc))
+    t = (y_centres[rows] - a[e, 0]) / (b[e, 0] - a[e, 0])
+    cols = np.searchsorted(z_centres, a[e, 1] + t * (b[e, 1] - a[e, 1]), side="left")
+    crossings = np.bincount(rows * (r + 1) + cols, minlength=r * (r + 1)).reshape(r, r + 1)
+    return (crossings.cumsum(axis=1)[:, :r] & 1).astype(np.uint8)
 
 
 def make_mask_stack(mesh: TriMesh, protocol: SliceProtocol) -> MaskStack:
@@ -319,13 +305,13 @@ def load_mask(path) -> np.ndarray:
     return (img == 255).astype(np.uint8)
 
 
-def save_mask_stack(stack: MaskStack, directory, plane_offsets, window: Window, stem: str = "slice") -> Path:
+def save_mask_stack(stack: MaskStack, directory, plane_offsets, window: Window) -> Path:
     """Write one PGM per mask plus a JSON manifest; returns the manifest path."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     members = []
     for i, mask in enumerate(stack.masks):
-        name = f"{stem}_{i}.pgm"
+        name = f"slice_{i}.pgm"
         save_mask(mask, directory / name)
         members.append(name)
     manifest = {

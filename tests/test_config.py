@@ -75,3 +75,18 @@ def test_offsets_list_becomes_tuple(tmp_path):
 def test_bad_slicer_offsets_rejected_at_load(tmp_path, offsets):
     with pytest.raises(ConfigError, match="slicer"):
         load_config(write_config(tmp_path, {"slicer": {"offsets": offsets}}))
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("slicer", "resolution", 64.5),
+        ("evaluate", "oracle_injection", "no"),
+        ("synth", "n", 4.5),
+        ("train", "epochs", 2.5),
+        ("evaluate", "samples", 10.5),
+    ],
+)
+def test_value_of_wrong_type_rejected_at_load(tmp_path, section, key, value):
+    with pytest.raises(ConfigError, match=f"{section}.*{key}"):
+        load_config(write_config(tmp_path, {section: {key: value}}))

@@ -152,6 +152,31 @@ def test_scanline_matches_per_pixel_oracle(seed):
     assert np.array_equal(rasterize(polys, window, r), even_odd_fill(polys, window, r))
 
 
+def lattice_polygon(rng, size):
+    """Closed loop whose vertices sit on pixel centres of a size-px unit grid.
+
+    Most loops alternate moves along z and along y, so every edge is either
+    horizontal (runs along a row) or vertical and passes through centres;
+    the rest join arbitrary centres, so some edges cross rows exactly at one.
+    """
+    m = int(rng.integers(2, 7))
+    y = rng.integers(0, size, m) + 0.5
+    z = rng.integers(0, size, m) + 0.5
+    if rng.random() < 0.75:
+        return np.column_stack([np.repeat(y, 2), np.stack([z, np.roll(z, -1)], axis=1).ravel()])
+    return np.column_stack([y, z])
+
+
+def test_lattice_ties_match_per_pixel_oracle():
+    # vertices and crossings exactly on pixel centres exercise the half-open
+    # row test and the at-or-before-centre column rule
+    rng = np.random.default_rng(41)
+    window = ((0.0, 0.0), (16.0, 16.0))
+    for _ in range(200):
+        polys = [lattice_polygon(rng, 16) for _ in range(int(rng.integers(1, 3)))]
+        assert np.array_equal(rasterize(polys, window, 16), even_odd_fill(polys, window, 16))
+
+
 def test_ring_polygon_even_odd():
     outer = np.array([[1.0, 1.0], [9.0, 1.0], [9.0, 9.0], [1.0, 9.0]])
     inner = np.array([[3.0, 3.0], [7.0, 3.0], [7.0, 7.0], [3.0, 7.0]])
@@ -243,6 +268,8 @@ def test_protocol_validation(shared_window):
         SliceProtocol((0.6, 0.4), shared_window, 64)
     with pytest.raises(DataError):
         SliceProtocol((0.4, 0.6), shared_window, 8)
+    with pytest.raises(DataError):
+        SliceProtocol((0.4, 0.6), shared_window, 64.5)
 
 
 # ---------------------------------------------------------------------------

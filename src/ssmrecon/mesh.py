@@ -180,16 +180,13 @@ def save_mesh(mesh: TriMesh, path) -> None:
     """Write a TriMesh as ASCII OBJ.
 
     Coordinates are written with ``repr`` so a save/load round trip
-    reproduces vertices bit-exactly.
+    reproduces vertices bit-exactly. Each record kind is one ``%`` format over
+    all its rows.
     """
-    lines = []
-    for x, y, z in mesh.vertices.tolist():
-        lines.append(f"v {x!r} {y!r} {z!r}")
-    for a, b, c in mesh.faces.tolist():
-        lines.append(f"f {a + 1} {b + 1} {c + 1}")
-    lines.append("")
+    text = ("v %r %r %r\n" * mesh.n_vertices) % tuple(mesh.vertices.ravel().tolist())
+    text += ("f %d %d %d\n" * mesh.n_faces) % tuple((mesh.faces + 1).ravel().tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines))
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------

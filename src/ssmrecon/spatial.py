@@ -1,8 +1,9 @@
 """Exact nearest-point queries against triangle mesh surfaces.
 
-`SurfaceIndex` prunes candidate triangles with a k-d tree over face
-centroids, then refines exactly; `closest_points_brute` evaluates every
-triangle and is the test oracle. Both return the closest point of the face
+`SurfaceIndex` gathers candidate triangles with a k-d tree over face
+centroids, prunes them by a lower bound on the distance to each triangle (the
+slab-disc that holds it), then refines exactly; `closest_points_brute`
+evaluates every triangle and is the test oracle. Both return the closest point of the face
 with the smallest squared distance and, among tied faces, the lowest face id,
 so their points agree bit for bit.
 """
@@ -127,10 +128,24 @@ class SurfaceIndex:
     """Exact nearest-surface queries accelerated by a centroid k-d tree.
 
     The face of the nearest centroid bounds each point's distance from above.
-    Every face whose centroid lies within that bound plus the face's spread
-    (centroid to farthest corner) is then tested exactly, and the winner is
-    the smallest squared distance, ties going to the lowest face id: the rule
-    of `closest_points_brute`, so points and distances match it exactly.
+    The ball of that bound plus the largest spread (centroid to farthest
+    corner) around each point holds every centroid that could matter; each
+    face in it is then bounded from below by the slab-disc that holds its
+    triangle, and only faces whose bound does not exceed the upper bound are
+    tested exactly. The winner is the smallest squared distance, ties going
+    to the lowest face id: the rule of `closest_points_brute`, so points and
+    distances match it exactly.
+
+    The slab-disc of face f is centred on its centroid ``c_f`` with unit
+    normal ``n_f``: half-thickness ``t_f = max_k |n_f . (v_k - c_f)|`` along
+    the normal and radius ``spread_f`` in the plane. Every corner lies in it,
+    and so, by convexity, does the whole triangle, whatever direction
+    rounding gave ``n_f``, as long as its length is 1; ``t_f`` is about 0 for
+    an ordinary triangle and absorbs the normal's error on a sliver. Splitting ``p - c_f`` into a normal part
+    ``h`` and an in-plane part of length ``r`` then gives the lower bound
+    ``sqrt(max(0, |h| - t_f)^2 + max(0, r - spread_f)^2)`` on the distance
+    from ``p`` to any point of the face. A zero-area face has a NaN normal
+    and so a NaN bound, which never compares above the limit: it is kept.
     """
 
     def __init__(self, mesh: TriMesh):
@@ -139,9 +154,18 @@ class SurfaceIndex:
         self.mesh = mesh
         self.tri = mesh.triangle_corners()
         self.centroids = self.tri.mean(axis=1)
+        offsets = self.tri - self.centroids[:, None, :]
         # distance from each centroid to its triangle's farthest corner
-        self.spread = np.linalg.norm(self.tri - self.centroids[:, None, :], axis=2).max(axis=1)
+        self.spread = np.linalg.norm(offsets, axis=2).max(axis=1)
         self.max_spread = float(self.spread.max())
+        normal = np.cross(self.tri[:, 1] - self.tri[:, 0], self.tri[:, 2] - self.tri[:, 0])
+        with np.errstate(invalid="ignore"):
+            # scaled to a largest component of 1 first, so that its length neither underflows
+            # nor overflows and the normal has length 1 for tiny and huge faces alike
+            normal /= np.abs(normal).max(axis=1, keepdims=True)
+        self.normals = normal / np.linalg.norm(normal, axis=1, keepdims=True)
+        # half-thickness of the slab about the centroid that holds all three corners
+        self.thickness = np.abs(np.einsum("fkj,fj->fk", offsets, self.normals)).max(axis=1)
         self.tree = cKDTree(self.centroids)
 
     def query(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -152,24 +176,37 @@ class SurfaceIndex:
         n = len(p)
         _, nearest = self.tree.query(p, k=1)
         bound = np.sqrt(((closest_on_triangles(p, self.tri[nearest]) - p) ** 2).sum(axis=1))
-        # slack for rounding in the centroid distances, so no tied face is pruned
-        limit = bound + 1e-9 * (np.abs(p).max(axis=1) + bound + self.max_spread)
+        # slack for rounding in the bounds, so no tied face is pruned; the absolute part covers
+        # meshes so small (below ~1e-150 mm) that squared distances and the exact test underflow
+        limit = bound + 1e-9 * (np.abs(p).max(axis=1) + bound + self.max_spread) + 1e-150
 
-        balls = self.tree.query_ball_point(p, limit + self.max_spread)
+        # the winner below does not depend on candidate order, so the lists need no sorting
+        balls = self.tree.query_ball_point(p, limit + self.max_spread, return_sorted=False)
         counts = np.fromiter(map(len, balls), dtype=np.int64, count=n)
         faces = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.int64, count=int(counts.sum()))
-        del balls  # free the lists before the exact test, where the query peaks in memory
-        owners = np.repeat(np.arange(n), counts)
-        # a face cannot come closer than its centroid distance minus its spread
-        gap = np.sqrt(((self.centroids[faces] - p[owners]) ** 2).sum(axis=1)) - self.spread[faces]
-        keep = gap <= limit[owners]
-        owners, faces = owners[keep], faces[keep]
+        del balls  # free the lists before the prune, where the query peaks in memory
+        # the slab-disc lower bound, written ~(lb > limit) so that a NaN bound keeps its face
+        d = np.repeat(p, counts, axis=0)
+        d -= self.centroids.take(faces, axis=0)
+        normal = self.normals.take(faces, axis=0)
+        h = np.einsum("ij,ij->i", d, normal)
+        d -= h[:, None] * normal
+        r = np.sqrt(np.einsum("ij,ij->i", d, d))
+        normal_gap = np.maximum(np.abs(h) - self.thickness.take(faces), 0.0)
+        plane_gap = np.maximum(r - self.spread.take(faces), 0.0)
+        keep = ~(np.sqrt(normal_gap**2 + plane_gap**2) > np.repeat(limit, counts))
+        owners = np.repeat(np.arange(n), counts)[keep]
+        faces = faces[keep]
 
-        q = p[owners]
-        cand = closest_on_triangles(q, self.tri[faces])
+        q = p.take(owners, axis=0)
+        cand = closest_on_triangles(q, self.tri.take(faces, axis=0))
         d2 = ((cand - q) ** 2).sum(axis=1)
-        order = np.lexsort((faces, d2, owners))
-        first = order[np.diff(owners[order], prepend=-1) != 0]
+        # owners ascend, so each point's candidates form one segment, never empty:
+        # the face of the nearest centroid is within the limit
+        starts = np.flatnonzero(np.diff(owners, prepend=-1))
+        tied = d2 == np.minimum.reduceat(d2, starts)[owners]
+        lowest = np.minimum.reduceat(np.where(tied, faces, len(self.tri)), starts)
+        first = np.flatnonzero(tied & (faces == lowest[owners]))
         return cand[first], np.sqrt(d2[first])
 
 

@@ -5,9 +5,9 @@ point-to-triangle distance goes through plane/segment projections, mask
 fill classifies every pixel centre by ray parity, a section mask counts
 x-parallel ray crossings below the plane instead of cutting the mesh,
 volume comes from voxel column parity counting, the t CDF from
-adaptive Simpson quadrature, and regressor training steps the full
+adaptive Simpson quadrature, regressor training steps the full
 first-layer weight matrix (the primal form) instead of its dual
-coefficients.
+coefficients, and an OBJ file is written one formatted line at a time.
 """
 import math
 
@@ -314,3 +314,19 @@ def primal_sgd_train(dataset, cfg, n_hidden=256):
             if cfg.patience and since_best >= cfg.patience:
                 break
     return best, log
+
+
+# ---------------------------------------------------------------------------
+# Line-by-line OBJ writer
+
+
+def save_mesh_by_lines(mesh, path):
+    """``mesh.save_mesh`` as one f-string per vertex and per face."""
+    lines = []
+    for x, y, z in mesh.vertices.tolist():
+        lines.append(f"v {x!r} {y!r} {z!r}")
+    for a, b, c in mesh.faces.tolist():
+        lines.append(f"f {a + 1} {b + 1} {c + 1}")
+    lines.append("")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines))

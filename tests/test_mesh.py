@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_rotation
-from oracles import brute_nearest_distance, voxel_volume_cm3
+from oracles import brute_nearest_distance, save_mesh_by_lines, voxel_volume_cm3
 
 from ssmrecon import mesh as M
 from ssmrecon.errors import DataError
@@ -58,6 +58,40 @@ def test_empty_mesh_round_trip(tmp_path):
     M.save_mesh(empty, path)
     again = M.load_mesh(path)
     assert again.n_vertices == 0 and again.n_faces == 0
+
+
+_EXTREME_VALUES = M.TriMesh(
+    [[-0.0, 1e-05, 1e16], [5e-324, 1.7976931348623157e308, -1e-05], [0.1, -2.5, 3.0], [-5e-324, 0.0, -1e16]],
+    [[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]],
+)
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [M.cube(1.0), M.icosphere(37.3, 3), M.TriMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int)), _EXTREME_VALUES],
+    ids=["cube", "icosphere", "empty", "extreme-values"],
+)
+def test_save_bytes_match_line_writer(tmp_path, mesh):
+    M.save_mesh(mesh, tmp_path / "fast.obj")
+    save_mesh_by_lines(mesh, tmp_path / "lines.obj")
+    assert (tmp_path / "fast.obj").read_bytes() == (tmp_path / "lines.obj").read_bytes()
+    again = M.load_mesh(tmp_path / "fast.obj")
+    assert np.array_equal(again.vertices, mesh.vertices) and np.array_equal(again.faces, mesh.faces)
+
+
+def test_duplicated_vertex_obj_is_not_closed(tmp_path):
+    """A seam written with a copy of a vertex loads, then fails every closedness check."""
+    path = tmp_path / "seam.obj"
+    M.save_mesh(M.cube(10.0), path)
+    text = path.read_text().replace("f 1 3 2\n", "v 0.0 0.0 0.0\nf 1 3 2\n", 1)
+    path.write_text(text.replace("f 1 5 8\nf 1 8 4\n", "f 9 5 8\nf 9 8 4\n"))
+    mesh = M.load_mesh(path)
+    assert mesh.n_vertices == 9 and np.array_equal(mesh.vertices[8], mesh.vertices[0])
+    message = r"mesh is not closed: edge \(0, 3\)"
+    with pytest.raises(DataError, match=message):
+        M.validate_closed(mesh)
+    with pytest.raises(DataError, match=message):
+        M.signed_volume(mesh)
 
 
 def test_parse_error_names_line(tmp_path):

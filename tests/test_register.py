@@ -103,6 +103,15 @@ def test_fit_recovers_rigid_motion(blob_pair):
         assert log.plane_rounds > 0 and not log.plane_capped
 
 
+def test_fit_far_target_reaches_same_surface_distance(blob_pair):
+    template, target = blob_pair
+    _, near = nonrigid_fit(template, target, return_log=True)
+    far_target = target.with_vertices(target.vertices + np.array([1000.0, -700.0, 400.0]))
+    _, far = nonrigid_fit(template, far_target, return_log=True)
+    assert far.iterations_run == near.iterations_run
+    assert far.mean_surface_distance[-1] == pytest.approx(near.mean_surface_distance[-1], rel=1e-9)
+
+
 def test_fit_sphere_target_is_not_rotated():
     # a sphere leaves rotation about its centre unconstrained: the plane steps
     # must not fail on it, nor turn the template

@@ -173,11 +173,7 @@ def _tie_heavy_points(mesh: M.TriMesh, seed: int) -> np.ndarray:
     return np.concatenate([mesh.vertices, midpoints, samples + offset * direction])
 
 
-@pytest.mark.parametrize("mesh", [_cube_row(), M.cube(30.0), M.icosphere(40.0, 2), M.icosphere(40.0, 3)],
-                         ids=["four-cubes", "cube", "icosphere-2", "icosphere-3"])
-def test_query_bit_equal_to_brute_and_order_free(mesh):
-    """Tied faces resolve to the lowest face id, as in the oracle, whatever the query order."""
-    points = _tie_heavy_points(mesh, seed=len(mesh.faces))
+def _assert_bit_equal_and_order_free(mesh: M.TriMesh, points: np.ndarray) -> None:
     index = SurfaceIndex(mesh)
     fast_pt, fast_d = index.query(points)
     brute_pt, brute_d = closest_points_brute(points, mesh)
@@ -187,6 +183,54 @@ def test_query_bit_equal_to_brute_and_order_free(mesh):
     shuffled_pt, shuffled_d = index.query(points[perm])
     assert np.array_equal(shuffled_pt, fast_pt[perm])
     assert np.array_equal(shuffled_d, fast_d[perm])
+
+
+@pytest.mark.parametrize("mesh", [_cube_row(), M.cube(30.0), M.icosphere(40.0, 2), M.icosphere(40.0, 3)],
+                         ids=["four-cubes", "cube", "icosphere-2", "icosphere-3"])
+def test_query_bit_equal_to_brute_and_order_free(mesh):
+    """Tied faces resolve to the lowest face id, as in the oracle, whatever the query order."""
+    _assert_bit_equal_and_order_free(mesh, _tie_heavy_points(mesh, seed=len(mesh.faces)))
+
+
+def _triangle_soup(kind: str, seed: int, n_faces: int = 60) -> M.TriMesh:
+    """Unshared triangles: ordinary, slivers (1e-7 mm thick) or zero-area (collinear or one point)."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-20.0, 20.0, size=(n_faces, 3))
+    u = rng.normal(size=(n_faces, 3)) * 8.0
+    if kind == "ordinary":
+        c = a + rng.normal(size=(n_faces, 3)) * 8.0
+    elif kind == "sliver":
+        c = a + 0.5 * u + rng.normal(size=(n_faces, 3)) * 1e-7
+    else:  # collinear: the third corner on the line through the first two, some on the first
+        c = a + rng.choice([-1.0, 0.0, 0.5, 2.0], size=(n_faces, 1)) * u
+        u[::7] = 0.0
+    return M.TriMesh(np.stack([a, a + u, c], axis=1).reshape(-1, 3), np.arange(3 * n_faces).reshape(-1, 3))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-80, 1e-163], ids=["mm", "1e-80", "1e-163"])
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("kind", ["ordinary", "sliver", "collinear"])
+def test_query_bit_equal_on_triangle_soups(kind, seed, scale):
+    """Slivers and zero-area faces (NaN normals) are bounded or kept, never wrongly pruned.
+
+    At 1e-80 mm the squares inside a cross product's length underflow; at
+    1e-163 mm squared distances do too.
+    """
+    mesh = _triangle_soup(kind, seed)
+    tri = mesh.triangle_corners()
+    rng = np.random.default_rng(100 + seed)
+    direction = rng.normal(size=(len(tri), 3))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    near = tri.mean(axis=1) + rng.uniform(0.0, 50.0, size=(len(tri), 1)) * direction
+    points = np.concatenate([mesh.vertices, (tri[:, 0] + tri[:, 1]) / 2, near, rng.uniform(-70.0, 70.0, size=(200, 3))])
+    _assert_bit_equal_and_order_free(mesh.with_vertices(mesh.vertices * scale), points * scale)
+
+
+def test_query_bit_equal_for_one_liver_sampled_against_another(blob_pair):
+    """Evaluation traffic: surface samples of one subject, a few mm off the other's surface."""
+    sampled, indexed = blob_pair
+    _assert_bit_equal_and_order_free(indexed, M.surface_samples(sampled, 1000, seed=11))
+    _assert_bit_equal_and_order_free(sampled, M.surface_samples(indexed, 1000, seed=12))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -8,6 +8,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
+from operator import itemgetter
 
 import numpy as np
 
@@ -126,54 +128,102 @@ class Plane:
 def load_mesh(path) -> TriMesh:
     """Read an ASCII Wavefront OBJ file into a TriMesh.
 
-    Only ``v`` and ``f`` records are used; normals, texture coordinates and
-    grouping statements are ignored. Faces with more than three vertices are
-    fan-triangulated. Indices are 1-based; negative (relative) indices count
-    back from the current vertex list.
+    Only ``v`` and ``f`` records are used; normals, texture coordinates,
+    comments and grouping statements are ignored. A record is a line split on
+    whitespace (``str.split``); a ``v`` record takes its first three
+    coordinates, each as spelled for Python's ``float``. Each ``f`` index is
+    the part of its token before any ``/``, as spelled for ``int``; indices
+    are 1-based, negative (relative) indices count back from the vertices read
+    so far, and faces with more than three vertices are fan-triangulated. A
+    malformed file raises DataError naming its first bad line.
+
+    The grammar, meshes and messages are exactly those of
+    ``load_mesh_by_lines`` in tests/oracles.py, which reads one line at a
+    time. Here the file is parsed as whole arrays: each line is split once,
+    into one list of every token that keeps where each line's run ends; every
+    coordinate goes through one ``map(float)`` and every index through one
+    ``map(int)``, and relative indices, range checks and fans are resolved
+    with array operations.
     """
-    vertices: list[list[float]] = []
-    faces: list[list[int]] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            tag = parts[0]
-            if tag == "v":
-                if len(parts) < 4:
-                    raise DataError(f"{path}:{lineno}: vertex record needs 3 coordinates")
-                try:
-                    vertices.append([float(parts[1]), float(parts[2]), float(parts[3])])
-                except ValueError as exc:
-                    raise DataError(f"{path}:{lineno}: bad vertex coordinate: {exc}") from exc
-            elif tag == "f":
-                if len(parts) < 4:
-                    raise DataError(f"{path}:{lineno}: face record needs at least 3 indices")
-                idx = []
-                for token in parts[1:]:
-                    head = token.split("/")[0]
-                    try:
-                        i = int(head)
-                    except ValueError as exc:
-                        raise DataError(f"{path}:{lineno}: bad face index {token!r}") from exc
-                    if i < 0:
-                        i = len(vertices) + 1 + i
-                    if i < 1 or i > len(vertices):
-                        raise DataError(
-                            f"{path}:{lineno}: face index {token} out of range "
-                            f"(file has {len(vertices)} vertices so far)"
-                        )
-                    idx.append(i - 1)
-                for k in range(1, len(idx) - 1):
-                    faces.append([idx[0], idx[k], idx[k + 1]])
-            else:
-                # vn / vt / s / o / g / usemtl and friends are ignored
-                continue
+        text = fh.read()  # universal newlines: "\n" ends each line that iterating over fh gives
+    tokens = []  # every line's tokens in order; its length after each line is where that line's run ends
+    ends = np.fromiter(map(len, map(tokens.__iadd__, map(str.split, text.split("\n")))), dtype=np.int64)
+    n_parts = np.diff(ends, prepend=0)
+
+    # records: the non-blank lines, each from its first token
+    records = np.flatnonzero(n_parts)
+    lines = records + 1
+    n_parts = n_parts[records]
+    first = ends[records] - n_parts
+    tag = np.array(list(map(tokens.__getitem__, first.tolist())), dtype=object)
+    is_v = tag == "v"
+    is_f = tag == "f"
+    errors = []  # (line, message, cause) of the first failure of each kind
+
+    short = is_v & (n_parts < 4)
+    if short.any():
+        errors.append((lines[short][0], "vertex record needs 3 coordinates", None))
+    good = is_v & ~short
+    in_vertex = np.zeros(len(tokens), dtype=bool)
+    in_vertex[(first[good][:, None] + np.arange(1, 4)).ravel()] = True
+    coords, exc = _parse(float, compress(tokens, in_vertex.tolist()), np.float64)
+    if exc is not None:
+        errors.append((lines[good][len(coords) // 3], f"bad vertex coordinate: {exc}", exc))
+
+    short = is_f & (n_parts < 4)
+    if short.any():
+        errors.append((lines[short][0], "face record needs at least 3 indices", None))
+    good = is_f & ~short
+    in_face = np.repeat(good, n_parts)
+    in_face[first] = False
+    at = np.flatnonzero(in_face)
+    heads = compress(tokens, in_face.tolist())
+    if "/" in text:  # each index is the part of its token before any "/"
+        heads = [token.partition("/")[0] for token in heads]
+    idx, exc = _parse(int, heads, np.int64)
+    corners = n_parts[good] - 1
+    done = np.repeat(np.cumsum(is_v)[good], corners)[: len(idx)]  # vertices read before each index
+    idx = np.where(idx < 0, done + 1 + idx, idx)
+    bad = (idx < 1) | (idx > done)
+    if bad.any():
+        t = int(np.argmax(bad))
+        message = f"face index {tokens[at[t]]} out of range (file has {done[t]} vertices so far)"
+        errors.append((np.repeat(lines[good], corners)[t], message, None))
+    elif exc is not None:
+        t = len(idx)
+        errors.append((np.repeat(lines[good], corners)[t], f"bad face index {tokens[at[t]]!r}", exc))
+
+    if errors:
+        line, message, cause = min(errors, key=itemgetter(0))
+        raise DataError(f"{path}:{line}: {message}") from cause
+
+    # the fan (0, j, j + 1), j = 1 .. corners - 2, of each record's indices
+    n_tri = corners - 2
+    zero = np.repeat(np.cumsum(corners) - corners, n_tri)
+    j = zero + np.arange(len(zero)) - np.repeat(np.cumsum(n_tri) - n_tri, n_tri) + 1
+    faces = np.stack([idx[zero], idx[j], idx[j + 1]], axis=1) - 1
     try:
-        return TriMesh(np.array(vertices, dtype=np.float64).reshape(-1, 3), np.array(faces, dtype=np.int64).reshape(-1, 3))
+        return TriMesh(coords.reshape(-1, 3), faces)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
+
+
+def _parse(convert, tokens, dtype) -> tuple[np.ndarray, ValueError | None]:
+    """``convert`` of each token in order, up to the first that raises ValueError, and that error.
+
+    Integers beyond int64 are clipped to +-2**62: out of range for any mesh.
+    """
+    values = []
+    error = None
+    try:
+        values.extend(map(convert, tokens))  # what was converted before a failure stays
+    except ValueError as exc:
+        error = exc
+    try:
+        return np.array(values, dtype=dtype), error
+    except OverflowError:
+        return np.clip(np.array(values, dtype=object), -(2**62), 2**62).astype(dtype), error
 
 
 def save_mesh(mesh: TriMesh, path) -> None:
@@ -304,7 +354,13 @@ def cube(edge: float = 1.0, origin=(0.0, 0.0, 0.0)) -> TriMesh:
 
 
 def icosphere(radius: float = 1.0, subdivisions: int = 2) -> TriMesh:
-    """Unit icosahedron subdivided ``subdivisions`` times, projected to a sphere."""
+    """Unit icosahedron subdivided ``subdivisions`` times, projected to a sphere.
+
+    Each level splits every face into four at its edge midpoints, found from
+    one table of the level's edges. The vertices of the previous level come
+    first, in their order; then the new midpoints, in the order in which
+    their edges first occur going through the faces.
+    """
     phi = (1.0 + np.sqrt(5.0)) / 2.0
     verts = np.array(
         [
@@ -325,24 +381,19 @@ def icosphere(radius: float = 1.0, subdivisions: int = 2) -> TriMesh:
         dtype=np.int64,
     )
     for _ in range(subdivisions):
-        verts_list = list(verts)
-        midpoint: dict[tuple[int, int], int] = {}
-
-        def midpoint_index(a: int, b: int) -> int:
-            key = (a, b) if a < b else (b, a)
-            if key not in midpoint:
-                m = verts_list[a] + verts_list[b]
-                m = m / np.linalg.norm(m)
-                midpoint[key] = len(verts_list)
-                verts_list.append(m)
-            return midpoint[key]
-
-        new_faces = []
-        for a, b, c in faces:
-            ab = midpoint_index(a, b)
-            bc = midpoint_index(b, c)
-            ca = midpoint_index(c, a)
-            new_faces.extend([[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]])
-        verts = np.array(verts_list)
-        faces = np.array(new_faces, dtype=np.int64)
+        # edges (a, b), (b, c), (c, a) of each face in turn; a new midpoint is numbered
+        # where its edge first occurs, so vertices and faces come out in a fixed order
+        edges = np.stack([faces, np.roll(faces, -1, axis=1)], axis=2).reshape(-1, 2)
+        keys = edges.min(axis=1) * len(verts) + edges.max(axis=1)
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        number = np.empty_like(order)
+        number[order] = np.arange(len(verts), len(verts) + len(order))
+        split = edges[np.sort(first)]
+        m = verts[split[:, 0]] + verts[split[:, 1]]
+        # the length of each row as the 1-D norm gives it (BLAS dot), bit for bit
+        verts = np.concatenate([verts, m / np.sqrt(np.vecdot(m, m))[:, None]])
+        ab, bc, ca = number[inverse].reshape(-1, 3).T
+        a, b, c = faces.T
+        faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
     return TriMesh(radius * verts, faces)

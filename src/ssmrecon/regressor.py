@@ -263,8 +263,9 @@ def train(dataset, cfg: TrainConfig, n_hidden: int = 256) -> tuple[MlpParams, Tr
                 b2 -= lr * g_b2
             if not all(map(_all_finite, (c, b1, w2, b2))):
                 raise NumericalError(f"training diverged at epoch {epoch}: parameters must be finite")
-        t_loss = mse(p0_train, gram_train, y_train)
-        v_loss = mse(p0_val, gram_val, y_val) if n_val else t_loss
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss is caught below
+            t_loss = mse(p0_train, gram_train, y_train)
+            v_loss = mse(p0_val, gram_val, y_val) if n_val else t_loss
         if not np.isfinite(t_loss) or not np.isfinite(v_loss):
             raise NumericalError(f"training diverged at epoch {epoch} (non-finite loss)")
         log.epochs.append(epoch)

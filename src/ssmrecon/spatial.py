@@ -17,6 +17,13 @@ from scipy.spatial import cKDTree
 from .errors import DataError
 from .mesh import TriMesh
 
+# Largest coordinate magnitude, in mm, of an indexed mesh or a query point. The
+# exact test multiplies pairs of dot products (d1 * d4 in closest_on_triangles),
+# degree 4 in the coordinates: below 1e60 mm they stay under about 1e250. On
+# triangle soups the query stays exact up to 1e75 mm, and by 1e80 mm these
+# products overflow to inf and it returns wrong rows or fails.
+MAX_COORDINATE_MM = 1e60
+
 
 def closest_on_triangles(points: np.ndarray, tri: np.ndarray) -> np.ndarray:
     """Closest point on each triangle to each query point, elementwise.
@@ -146,11 +153,16 @@ class SurfaceIndex:
     ``sqrt(max(0, |h| - t_f)^2 + max(0, r - spread_f)^2)`` on the distance
     from ``p`` to any point of the face. A zero-area face has a NaN normal
     and so a NaN bound, which never compares above the limit: it is kept.
+
+    A mesh or query point with a coordinate beyond ``MAX_COORDINATE_MM`` is
+    rejected with DataError, since the exact test's products would overflow.
     """
 
     def __init__(self, mesh: TriMesh):
         if mesh.is_empty:
             raise DataError("cannot index an empty mesh")
+        if np.abs(mesh.vertices).max() > MAX_COORDINATE_MM:
+            raise DataError(f"mesh coordinates must lie within +-{MAX_COORDINATE_MM:g} mm")
         self.mesh = mesh
         self.tri = mesh.triangle_corners()
         self.centroids = self.tri.mean(axis=1)
@@ -171,8 +183,8 @@ class SurfaceIndex:
     def query(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Return (closest points, distances) for an (n, 3) array of queries."""
         p = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if not np.isfinite(p).all():
-            raise DataError("query points must be finite")
+        if not (np.abs(p) <= MAX_COORDINATE_MM).all():
+            raise DataError(f"query points must be finite and lie within +-{MAX_COORDINATE_MM:g} mm")
         n = len(p)
         _, nearest = self.tree.query(p, k=1)
         bound = np.sqrt(((closest_on_triangles(p, self.tri[nearest]) - p) ** 2).sum(axis=1))

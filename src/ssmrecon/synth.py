@@ -84,16 +84,16 @@ def _generate_subject(cfg: SynthConfig, index: int) -> TriMesh:
     level = cfg.jitter_levels[int(rng.integers(len(cfg.jitter_levels)))]
     target_volume = rng.uniform(*cfg.volume_range)
 
+    # the sphere and its angles draw nothing from rng: each retry redraws only the modes
+    base = icosphere(1.0, level)
+    v = base.vertices
+    radius = np.linalg.norm(v, axis=1)
+    theta = np.arccos(np.clip(v[:, 2] / radius, -1.0, 1.0))
+    phi = np.arctan2(v[:, 1], v[:, 0])
     amplitude = cfg.amplitude
     for _ in range(_MAX_RETRIES):
-        base = icosphere(1.0, level)
-        v = base.vertices.copy()
-        radius = np.linalg.norm(v, axis=1)
-        theta = np.arccos(np.clip(v[:, 2] / radius, -1.0, 1.0))
-        phi = np.arctan2(v[:, 1], v[:, 0])
         r_new = 1.0 + _radial_modes(rng, cfg.mode_count, amplitude, theta, phi)
-        v = v * r_new[:, None] * _ASPECT
-        mesh = TriMesh(v, base.faces)
+        mesh = TriMesh(v * r_new[:, None] * _ASPECT, base.faces)
         v0 = signed_volume(mesh)
         scale = (target_volume / v0) ** (1.0 / 3.0)
         mesh = mesh.with_vertices(mesh.vertices * scale)

@@ -7,13 +7,16 @@ x-parallel ray crossings below the plane instead of cutting the mesh,
 volume comes from voxel column parity counting, the t CDF from
 adaptive Simpson quadrature, regressor training steps the full
 first-layer weight matrix (the primal form) instead of its dual
-coefficients, and an OBJ file is written one formatted line at a time.
+coefficients, an OBJ file is written one formatted line at a time and read
+one line at a time, and an icosphere is subdivided one face at a time
+through a dict of edge midpoints.
 """
 import math
 
 import numpy as np
 
 from ssmrecon.errors import DataError, NumericalError
+from ssmrecon.mesh import TriMesh, icosphere
 from ssmrecon.regressor import MlpParams, TrainingLog, _as_batch, _backprop, _flat_input, _forward_batch, init_params
 
 
@@ -330,3 +333,89 @@ def save_mesh_by_lines(mesh, path):
     lines.append("")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines))
+
+
+# ---------------------------------------------------------------------------
+# Line-by-line OBJ reader
+
+
+def load_mesh_by_lines(path):
+    """``mesh.load_mesh`` as one Python statement loop over the file's lines."""
+    vertices: list[list[float]] = []
+    faces: list[list[int]] = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            tag = parts[0]
+            if tag == "v":
+                if len(parts) < 4:
+                    raise DataError(f"{path}:{lineno}: vertex record needs 3 coordinates")
+                try:
+                    vertices.append([float(parts[1]), float(parts[2]), float(parts[3])])
+                except ValueError as exc:
+                    raise DataError(f"{path}:{lineno}: bad vertex coordinate: {exc}") from exc
+            elif tag == "f":
+                if len(parts) < 4:
+                    raise DataError(f"{path}:{lineno}: face record needs at least 3 indices")
+                idx = []
+                for token in parts[1:]:
+                    head = token.split("/")[0]
+                    try:
+                        i = int(head)
+                    except ValueError as exc:
+                        raise DataError(f"{path}:{lineno}: bad face index {token!r}") from exc
+                    if i < 0:
+                        i = len(vertices) + 1 + i
+                    if i < 1 or i > len(vertices):
+                        raise DataError(
+                            f"{path}:{lineno}: face index {token} out of range "
+                            f"(file has {len(vertices)} vertices so far)"
+                        )
+                    idx.append(i - 1)
+                for k in range(1, len(idx) - 1):
+                    faces.append([idx[0], idx[k], idx[k + 1]])
+            else:
+                # vn / vt / s / o / g / usemtl and friends are ignored
+                continue
+    try:
+        return TriMesh(np.array(vertices, dtype=np.float64).reshape(-1, 3), np.array(faces, dtype=np.int64).reshape(-1, 3))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
+# Dict-of-midpoints icosphere subdivision
+
+
+def icosphere_by_dict(radius=1.0, subdivisions=2):
+    """``mesh.icosphere``, subdividing one face at a time with a dict of edge midpoints.
+
+    Starts from the package's unsubdivided icosahedron (level 0).
+    """
+    base = icosphere(1.0, 0)
+    verts, faces = base.vertices, base.faces
+    for _ in range(subdivisions):
+        verts_list = list(verts)
+        midpoint: dict[tuple[int, int], int] = {}
+
+        def midpoint_index(a: int, b: int) -> int:
+            key = (a, b) if a < b else (b, a)
+            if key not in midpoint:
+                m = verts_list[a] + verts_list[b]
+                m = m / np.linalg.norm(m)
+                midpoint[key] = len(verts_list)
+                verts_list.append(m)
+            return midpoint[key]
+
+        new_faces = []
+        for a, b, c in faces:
+            ab = midpoint_index(a, b)
+            bc = midpoint_index(b, c)
+            ca = midpoint_index(c, a)
+            new_faces.extend([[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]])
+        verts = np.array(verts_list)
+        faces = np.array(new_faces, dtype=np.int64)
+    return TriMesh(radius * verts, faces)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_rotation
-from oracles import brute_nearest_distance, save_mesh_by_lines, voxel_volume_cm3
+from oracles import brute_nearest_distance, icosphere_by_dict, load_mesh_by_lines, save_mesh_by_lines, voxel_volume_cm3
 
 from ssmrecon import mesh as M
 from ssmrecon.errors import DataError
@@ -108,6 +108,118 @@ def test_fan_triangulation_and_slash_indices(tmp_path):
     mesh = M.load_mesh(path)
     assert mesh.n_faces == 2
     assert np.array_equal(mesh.faces, [[0, 1, 2], [0, 2, 3]])
+
+
+# A grammar of OBJ texts: every record kind the reader meets, spelled in the ways
+# str.split, float and int accept, and each fault it must report.
+_SEPARATORS = [" ", "  ", "\t", " \t", "\x0b", "\x0c", "\x1c", "\xa0", "\u2028", "\u3000"]
+_ENDINGS = ["\n", "\r\n", "\r"]
+_GOOD_FLOATS = ["0", "-0", "+3", "1_0", "1e5", "-2.5E-3", ".5", "5.", "\u0663", "\U0001d7d9", "1_000.25", "12345678901234567890"]
+_NON_FINITE = ["inf", "-Infinity", "nan", "NaN", "1e999"]
+_BAD_FLOATS = ["abc", "1..2", "--1", "1e", "1,5", "0x10", "_1", "1__0", "1_", "\u216b", "v"]
+_BAD_INDICES = ["x", "1.5", "/2", "1e2", "--1", "0x1", "1__0", "\u216b", "f"]
+_IGNORED = ["vn 0 0 1", "vt 0.5 0.5", "g body", "s off", "o liver", "usemtl skin", "mtllib a.mtl", "l 1 2",
+            "V 1 2 3", "F 1 2 3", "vp 0.1", "#", "# v 1 2 3", "#v 1 2 3", "#f 1 2 3", "f#"]
+
+
+@st.composite
+def _obj_texts(draw):
+    n_vertices = 0
+    lines = []
+    kinds = ["v"] * draw(st.integers(0, 6))
+    kinds += draw(st.lists(st.sampled_from(["f", "v", "f", "ignored", "f", "blank"]), max_size=20))
+    # up to two faulty records, so that one fault sometimes hides behind another
+    faulty = draw(st.sets(st.integers(0, len(kinds) - 1), max_size=2)) if kinds else set()
+    for n, kind in enumerate(kinds):
+        fault = None
+        if n in faulty:
+            fault = draw(st.sampled_from(["short", "bad", "range", "zero", "huge", "non-finite", "repeat"]))
+        if kind == "f" and n_vertices < 3 and fault is None:
+            kind = "v"  # a face needs three vertices before it
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t", "\x0c \xa0"])))
+            continue
+        if kind == "ignored":
+            lines.append(draw(st.sampled_from(_IGNORED)))
+            continue
+        if kind == "v":
+            n_vertices += 1
+            coords = [repr(x) for x in draw(st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=4))]
+            if draw(st.booleans()):
+                coords[draw(st.integers(0, 2))] = draw(st.sampled_from(_GOOD_FLOATS))
+            if fault == "bad":
+                coords[draw(st.integers(0, 2))] = draw(st.sampled_from(_BAD_FLOATS))
+            elif fault == "non-finite":
+                coords[draw(st.integers(0, 2))] = draw(st.sampled_from(_NON_FINITE))
+            elif fault == "short":
+                coords = coords[: draw(st.integers(0, 2))]
+            tokens = ["v"] + coords
+        else:
+            ids = draw(st.lists(st.integers(0, max(n_vertices, 3) - 1), min_size=3, max_size=6, unique=True))
+            spelled = []
+            for i in ids:
+                number = draw(st.sampled_from([str(i + 1), str(i - n_vertices), f"+{i + 1}", f"0{i + 1}"]))
+                spelled.append(number + draw(st.sampled_from(["", "/1", "//2", "/1/2", "/"])))
+            at = draw(st.integers(0, len(ids) - 1))
+            if fault == "bad":
+                spelled[at] = draw(st.sampled_from(_BAD_INDICES)) + draw(st.sampled_from(["", "/1", "//2"]))
+            elif fault == "range":
+                spelled[at] = draw(st.sampled_from([str(n_vertices + 1), str(-n_vertices - 1)])) + "/3"
+            elif fault == "zero":
+                spelled[at] = draw(st.sampled_from(["0", "-0", "0/1"]))
+            elif fault == "huge":
+                spelled[at] = draw(st.sampled_from(["99999999999999999999", "-9223372036854775809", "9223372036854775808"]))
+            elif fault == "repeat":
+                spelled[at] = spelled[at - 1]
+            elif fault == "short":
+                spelled = spelled[: draw(st.integers(0, 2))]
+            tokens = ["f"] + spelled
+        separators = [draw(st.sampled_from(_SEPARATORS)) for _ in tokens]
+        lead = draw(st.sampled_from(["", " ", "\t"]))
+        lines.append(lead + "".join(t + sep for t, sep in zip(tokens, separators)).rstrip(draw(st.sampled_from(["", " \t"]))))
+    endings = [draw(st.sampled_from(_ENDINGS)) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, endings))
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+def _load_outcome(load, path):
+    """The mesh's bytes, or the DataError's message and the type of its cause."""
+    try:
+        mesh = load(path)
+    except DataError as exc:
+        return str(exc), type(exc.__cause__)
+    return mesh.vertices.shape, mesh.vertices.tobytes(), mesh.faces.shape, mesh.faces.tobytes()
+
+
+@given(text=_obj_texts())
+@settings(max_examples=400, deadline=None)
+def test_load_matches_line_reader(tmp_path_factory, text):
+    """Same mesh bit for bit, or the same error for the same first bad line, as the line loop."""
+    path = tmp_path_factory.mktemp("obj") / "grammar.obj"
+    path.write_bytes(text.encode("utf-8"))
+    assert _load_outcome(M.load_mesh, path) == _load_outcome(load_mesh_by_lines, path)
+
+
+def test_non_manifold_obj_rejected_naming_edge(tmp_path):
+    """A fin on one cube edge, so three faces share it, loads, then fails every closedness check."""
+    path = tmp_path / "fin.obj"
+    M.save_mesh(M.cube(10.0), path)
+    path.write_text(path.read_text() + "v 5.0 -10.0 5.0\nf 1 2 9\n")
+    mesh = M.load_mesh(path)
+    assert (mesh.n_vertices, mesh.n_faces) == (9, 13)
+    assert sum(set(face) >= {0, 1} for face in mesh.faces.tolist()) == 3
+    message = r"mesh is not closed: edge \(0, 1\)"
+    with pytest.raises(DataError, match=message):
+        M.validate_closed(mesh)
+    with pytest.raises(DataError, match=message):
+        M.signed_volume(mesh)
+
+
+@pytest.mark.parametrize("level", range(6))
+def test_icosphere_bit_equal_to_dict_loop(level):
+    got, want = M.icosphere(37.3, level), icosphere_by_dict(37.3, level)
+    assert got.vertices.tobytes() == want.vertices.tobytes()
+    assert np.array_equal(got.faces, want.faces)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -269,6 +270,17 @@ def test_divergence_reported_with_epoch():
     cfg = TrainConfig(learning_rate=1e18, epochs=10, batch_size=2, validation_fraction=0.0, patience=0, seed=5)
     with pytest.raises(NumericalError, match="epoch"):
         train(data, cfg, n_hidden=4)
+
+
+def test_divergence_at_epoch_loss_raises_without_warning():
+    """The per-epoch loss overflows in the same errstate as the steps: the error alone reports it."""
+    rng = np.random.default_rng(0)
+    data = [(rng.integers(0, 2, size=(3, 8, 8)).astype(np.uint8), rng.normal(size=4)) for _ in range(12)]
+    cfg = TrainConfig(learning_rate=30.0, epochs=50, batch_size=4, patience=0, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=r"diverged at epoch 45 \(non-finite loss\)"):
+            train(data, cfg, n_hidden=8)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

@@ -6,7 +6,7 @@ from ssmrecon import mesh as M
 from ssmrecon.errors import DataError
 from ssmrecon.regressor import MlpParams, init_params, load_weights, save_weights
 from ssmrecon.shape_space import build_ssm, load_ssm, save_ssm
-from ssmrecon.spatial import SurfaceIndex, closest_points, closest_points_brute
+from ssmrecon.spatial import MAX_COORDINATE_MM, SurfaceIndex, closest_points, closest_points_brute
 
 
 @pytest.fixture(scope="module")
@@ -224,6 +224,27 @@ def test_query_bit_equal_on_triangle_soups(kind, seed, scale):
     near = tri.mean(axis=1) + rng.uniform(0.0, 50.0, size=(len(tri), 1)) * direction
     points = np.concatenate([mesh.vertices, (tri[:, 0] + tri[:, 1]) / 2, near, rng.uniform(-70.0, 70.0, size=(200, 3))])
     _assert_bit_equal_and_order_free(mesh.with_vertices(mesh.vertices * scale), points * scale)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("kind", ["ordinary", "sliver", "collinear"])
+def test_query_bit_equal_on_triangle_soups_at_coordinate_bound(kind, seed):
+    """Scaled so the largest coordinate sits just inside the bound, the query is still exact."""
+    mesh = _triangle_soup(kind, seed)
+    tri = mesh.triangle_corners()
+    rng = np.random.default_rng(100 + seed)
+    points = np.concatenate([mesh.vertices, (tri[:, 0] + tri[:, 1]) / 2, rng.uniform(-70.0, 70.0, size=(200, 3))])
+    scale = 0.999 * MAX_COORDINATE_MM / max(np.abs(points).max(), np.abs(mesh.vertices).max())
+    _assert_bit_equal_and_order_free(mesh.with_vertices(mesh.vertices * scale), points * scale)
+
+
+def test_coordinates_beyond_bound_rejected():
+    """At 1e100 mm the exact test's products overflow, so neither meshes nor points get that far."""
+    mesh = _triangle_soup("ordinary", 0)
+    with pytest.raises(DataError, match=r"mesh coordinates must lie within \+-1e\+60 mm"):
+        SurfaceIndex(mesh.with_vertices(mesh.vertices * 1e100))
+    with pytest.raises(DataError, match=r"query points must be finite and lie within \+-1e\+60 mm"):
+        SurfaceIndex(mesh).query(mesh.vertices * 1e100)
 
 
 def test_query_bit_equal_for_one_liver_sampled_against_another(blob_pair):

@@ -162,6 +162,8 @@ def load_config(path) -> PipelineConfig:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return config_from_dict(doc, path.resolve().parent)

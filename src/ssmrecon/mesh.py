@@ -145,8 +145,11 @@ def load_mesh(path) -> TriMesh:
     ``map(int)``, and relative indices, range checks and fans are resolved
     with array operations.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()  # universal newlines: "\n" ends each line that iterating over fh gives
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()  # universal newlines: "\n" ends each line that iterating over fh gives
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
     tokens = []  # every line's tokens in order; its length after each line is where that line's run ends
     ends = np.fromiter(map(len, map(tokens.__iadd__, map(str.split, text.split("\n")))), dtype=np.int64)
     n_parts = np.diff(ends, prepend=0)

@@ -3,14 +3,14 @@
 Mesh comparisons sample each surface area-uniformly and measure exact
 point-to-triangle distances against the other surface. Chamfer distance is
 the sum of the two directed mean distances; mean surface distance is their
-average, so msd == chamfer / 2 by construction.
+average, so msd == chamfer / 2 by construction. scipy is imported inside
+`mask_metrics`, so loading the package does not load it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DataError
 from .mesh import TriMesh, surface_samples
@@ -50,6 +50,8 @@ def mask_metrics(pred: np.ndarray, truth: np.ndarray, spacing: float) -> MaskMet
     overlap with zero Hausdorff distance; empty-vs-nonempty scores zero
     overlap and the grid diagonal as a sentinel Hausdorff value.
     """
+    from scipy.spatial import cKDTree
+
     p = np.asarray(pred).astype(bool)
     t = np.asarray(truth).astype(bool)
     if p.shape != t.shape:

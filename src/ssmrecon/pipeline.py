@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import metrics, regressor, shape_space, stats, synth
+from . import metrics, regressor, shape_space, sidecar, stats, synth
 from .config import PipelineConfig
 from .errors import ConfigError, DataError, NumericalError
 from .mesh import MM3_PER_CM3, TriMesh, load_mesh, oriented_volume_mm3, save_mesh, signed_volume
@@ -92,11 +92,13 @@ def _window_path(cfg: PipelineConfig) -> Path:
 
 def _load_window(cfg: PipelineConfig) -> Window:
     path = _window_path(cfg)
+    if not path.exists():
+        raise DataError(f"dataset window not found: {path} (run build-ssm first)")
+    doc = sidecar.read_manifest(path, "dataset window", ("window",))
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read dataset window {path} (run build-ssm first): {exc}") from exc
-    return Window.from_dict(doc["window"])
+        return Window.from_dict(doc["window"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"dataset window {path} is malformed: {exc!r}") from exc
 
 
 def _registered_dir(cfg: PipelineConfig) -> Path:

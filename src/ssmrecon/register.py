@@ -3,17 +3,15 @@
 Fitting drags a closed template mesh onto an arbitrarily tessellated target
 surface so every population member ends up with the template's topology;
 rigid alignment then removes pose. Scale is deliberately never touched:
-subject size carries the volume signal.
+subject size carries the volume signal. scipy is imported in the functions
+that fit, so loading the package (and every command but build-ssm and
+evaluate) does not load it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import factorized
-from scipy.spatial import cKDTree
-from scipy.spatial.transform import Rotation
 
 from .errors import DataError, NumericalError
 from .mesh import TriMesh, validate_closed
@@ -89,8 +87,10 @@ def rigid_align(source: np.ndarray, target: np.ndarray) -> RigidTransform:
 # Non-rigid fitting
 
 
-def _uniform_laplacian(mesh: TriMesh) -> sp.csr_matrix:
-    """Umbrella operator L = I - D^-1 A over the template's edge graph."""
+def _uniform_laplacian(mesh: TriMesh):
+    """Umbrella operator L = I - D^-1 A over the template's edge graph, as a CSR matrix."""
+    import scipy.sparse as sp
+
     f = mesh.faces
     i = np.concatenate([f[:, 0], f[:, 1], f[:, 1], f[:, 2], f[:, 2], f[:, 0]])
     j = np.concatenate([f[:, 1], f[:, 0], f[:, 2], f[:, 1], f[:, 0], f[:, 2]])
@@ -159,6 +159,8 @@ def _plane_step(v: np.ndarray, feet: np.ndarray, dist: np.ndarray) -> RigidTrans
     its centre) at zero. Vertices on the surface (d_i == 0) have no normal
     and are left out; with none left the pose is kept (None).
     """
+    from scipy.spatial.transform import Rotation
+
     off = dist > 0
     if not off.any():
         return None
@@ -191,6 +193,8 @@ def _rigid_icp_init(
     distance improves by less than 1% of ``tol``, or after ``max_rounds``;
     ``log`` records the steps and caps of each.
     """
+    from scipy.spatial import cKDTree
+
     v = vertices + (index.mesh.centroid() - vertices.mean(axis=0))
     v, log.plane_rounds = _icp_rounds(v, index.query, _plane_step, tol, max_rounds)
     vertex_tree = cKDTree(index.mesh.vertices)
@@ -222,6 +226,9 @@ def nonrigid_fit(
     template), then applies ``damping * d``. Stops at the iteration cap or
     when the mean applied displacement drops below ``tol_mm``.
     """
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import factorized
+
     if template.is_empty or target.is_empty:
         raise DataError("template and target must be non-empty")
     validate_closed(template)

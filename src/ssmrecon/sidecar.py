@@ -8,7 +8,8 @@ Shape spaces (``<stem>.ssm.json`` / ``.ssm.bin``) and regressor weights
 Both files are written to ``<file>.tmp`` and renamed into place, so a crash
 never leaves a torn file and a process still mapping the old payload keeps
 reading the old bytes. The payload is read through one read-only memory
-map; loaded arrays are views into it, not copies.
+map; loaded arrays are views into it, not copies. `read_manifest` reads
+these manifests and the toolkit's other JSON manifests alike.
 """
 from __future__ import annotations
 
@@ -47,6 +48,24 @@ def _replacing(path: Path):
         tmp.unlink(missing_ok=True)
 
 
+def read_manifest(path, label: str, keys=()) -> dict:
+    """The JSON object in ``path``, which must hold each of ``keys``.
+
+    A file that cannot be read, is not UTF-8, is not JSON or lacks a key
+    raises DataError naming the ``label``, the file and the key.
+    """
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"cannot read {label} {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"{label} {path} is not a JSON object")
+    for key in keys:
+        if key not in doc:
+            raise DataError(f"{label} {path} has no {key!r} key")
+    return doc
+
+
 def save(path, kind: str, header: dict, arrays: list[tuple[str, np.ndarray]]) -> tuple[Path, Path]:
     """Write ``arrays`` in payload order, each row-major, and the manifest."""
     manifest_path, payload_path = _paths(path, kind)
@@ -74,10 +93,7 @@ def load(path, kind: str, label: str, shapes) -> tuple[dict, dict[str, np.ndarra
     disagree with the dimensions, or a payload of the wrong size.
     """
     manifest_path, payload_path = _paths(path, kind)
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read {label} manifest {manifest_path}: {exc}") from exc
+    manifest = read_manifest(manifest_path, f"{label} manifest")
     if manifest.get("format_version") != FORMAT_VERSION:
         raise DataError(
             f"unsupported {label} format_version {manifest.get('format_version')!r} "

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import sidecar
 from .errors import DataError
 from .mesh import Plane, TriMesh, validate_closed
 
@@ -331,10 +332,7 @@ def save_mask_stack(stack: MaskStack, directory, plane_offsets, window: Window) 
 def load_mask_stack(manifest_path) -> tuple[MaskStack, dict]:
     """Read a stack manifest; returns (stack, manifest dict)."""
     manifest_path = Path(manifest_path)
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read stack manifest {manifest_path}: {exc}") from exc
+    manifest = sidecar.read_manifest(manifest_path, "stack manifest", ("members", "spacing", "origin"))
     if manifest.get("format_version") != 1:
         raise DataError(f"{manifest_path}: unsupported stack format_version")
     masks = [load_mask(manifest_path.parent / name) for name in manifest["members"]]

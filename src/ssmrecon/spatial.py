@@ -5,14 +5,14 @@ centroids, prunes them by a lower bound on the distance to each triangle (the
 slab-disc that holds it), then refines exactly; `closest_points_brute`
 evaluates every triangle and is the test oracle. Both return the closest point of the face
 with the smallest squared distance and, among tied faces, the lowest face id,
-so their points agree bit for bit.
+so their points agree bit for bit. scipy is imported where the tree is built,
+so commands that never index a surface start without it.
 """
 from __future__ import annotations
 
 import itertools
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DataError
 from .mesh import TriMesh
@@ -159,6 +159,8 @@ class SurfaceIndex:
     """
 
     def __init__(self, mesh: TriMesh):
+        from scipy.spatial import cKDTree
+
         if mesh.is_empty:
             raise DataError("cannot index an empty mesh")
         if np.abs(mesh.vertices).max() > MAX_COORDINATE_MM:

@@ -1,15 +1,14 @@
 """Paired comparison of two volume series: mean difference, SEM, CI, t, p.
 
 The Student-t CDF and its inverse come from `scipy.special` (`stdtr`,
-`stdtrit`). Sample statistics use the n-1 divisor.
+`stdtrit`), imported in the two functions that call it, so loading the
+package does not load scipy. Sample statistics use the n-1 divisor.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass
-
-from scipy import special
 
 from .errors import DataError
 
@@ -70,6 +69,8 @@ def format_p(p: float) -> str:
 
 def t_cdf(t: float, df: int) -> float:
     """Student-t cumulative distribution function."""
+    from scipy import special
+
     if df < 1:
         raise DataError("degrees of freedom must be >= 1")
     return float(special.stdtr(df, t))
@@ -77,6 +78,8 @@ def t_cdf(t: float, df: int) -> float:
 
 def t_quantile(p: float, df: int) -> float:
     """Inverse Student-t cumulative distribution function."""
+    from scipy import special
+
     if not (0.0 < p < 1.0):
         raise DataError("p must lie strictly inside (0, 1)")
     if df < 1:

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import sidecar
 from .errors import DataError, NumericalError
 from .mesh import Plane, TriMesh, icosphere, save_mesh, signed_volume
 from .slicer import cross_section, loop_area
@@ -135,8 +136,4 @@ def write_population(meshes: list[TriMesh], volumes: list[float], cfg: SynthConf
 
 
 def load_population_manifest(directory) -> dict:
-    path = Path(directory) / "population.json"
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read population manifest {path}: {exc}") from exc
+    return sidecar.read_manifest(Path(directory) / "population.json", "population manifest", ("subjects",))

@@ -61,6 +61,13 @@ def test_invalid_json_rejected(tmp_path):
         load_config(path)
 
 
+def test_undecodable_file_rejected(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"synth": {"n": 4}}\xff')  # byte 0xff is never valid UTF-8
+    with pytest.raises(ConfigError, match="not UTF-8 text.*0xff"):
+        load_config(path)
+
+
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "nope.json")

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -304,3 +307,128 @@ def test_cli_full_run(tmp_path, capsys):
     assert doc["n_test"] == 2
     stack_doc = json.loads((tmp_path / "out" / "masks" / "s000" / "stack.json").read_text())
     assert len(stack_doc["members"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# fresh processes
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Runs ``main([command, "--config", path, *rest])`` from argv ``command path *rest`` in the
+# interpreter it starts in. Its last stdout line is JSON: the exit code and the scipy modules
+# loaded once the package is imported and the config loaded, and once the command has run.
+FRESH_COMMAND = """
+import json, sys
+import ssmrecon, ssmrecon.cli, ssmrecon.pipeline
+from ssmrecon.config import load_config
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.partition(".")[0] == "scipy")
+
+command, path, *rest = sys.argv[1:]
+load_config(path)
+started = scipy_modules()
+code = ssmrecon.cli.main([command, "--config", path, *rest])
+print(json.dumps({"code": code, "started": started, "ended": scipy_modules()}))
+"""
+
+
+def fresh(args: list[str]) -> subprocess.CompletedProcess:
+    """``python *args`` in a new interpreter on this source tree, with two pool threads."""
+    env = {**os.environ, "PYTHONPATH": str(SRC), "SSMRECON_THREADS": "2"}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_fresh_commands_load_scipy_only_to_fit_and_score(small_run, tmp_path):
+    """Start-up, synth, slice, train and reconstruct load no scipy. build-ssm and evaluate
+    first import it on the pool's two threads, and write the in-process run's bytes."""
+    tmp, cfg, _, _ = small_run
+    sid = pipeline.split_ids(cfg)[1][0]
+    cfg_path = make_config(tmp_path)
+    for command, *rest in (["synth"], ["build-ssm"], ["slice"], ["train"], ["reconstruct", "--subject", sid], ["evaluate"]):
+        done = fresh(["-c", FRESH_COMMAND, command, str(cfg_path), *rest])
+        assert done.returncode == 0, done.stderr
+        result = json.loads(done.stdout.splitlines()[-1])
+        assert result["code"] == 0 and result["started"] == [], (command, result)
+        if command in ("build-ssm", "evaluate"):
+            assert "scipy.spatial" in result["ended"], command
+        else:
+            assert result["ended"] == [], (command, result)
+
+    pipeline.cmd_reconstruct(cfg, subject=sid)  # the same request in-process
+    expected = {name: digest for name, digest in tree_digests(tmp).items() if name.startswith(("population/", "out/"))}
+    assert tree_digests(tmp_path) == expected
+    done = fresh(["-m", "ssmrecon.cli", "stats-vectors"])
+    assert done.returncode == 0, done.stdout + done.stderr
+
+
+# ---------------------------------------------------------------------------
+# undecodable and incomplete files
+
+
+def test_undecodable_config_and_population_exit_without_traceback(tmp_path):
+    cfg_path = make_config(tmp_path)
+    population = tmp_path / "population" / "population.json"
+    population.parent.mkdir()
+    population.write_bytes(b'{"format_version": 1, "subjects": {}}\xff')  # byte 0xff is never valid UTF-8
+    done = fresh(["-m", "ssmrecon.cli", "build-ssm", "--config", str(cfg_path)])
+    assert (done.returncode, "Traceback" in done.stderr) == (2, False), done.stderr
+    assert "data error: cannot read population manifest" in done.stderr and "byte 0xff" in done.stderr
+
+    cfg_path.write_bytes(cfg_path.read_bytes() + b"\xff")
+    done = fresh(["-m", "ssmrecon.cli", "synth", "--config", str(cfg_path)])
+    assert (done.returncode, "Traceback" in done.stderr) == (1, False), done.stderr
+    assert "config error" in done.stderr and "byte 0xff" in done.stderr
+
+
+@pytest.mark.parametrize(
+    "name, read",
+    [
+        ("population/s000.obj", lambda cfg: load_mesh(cfg.population_dir / "s000.obj")),
+        ("population/population.json", pipeline.population_ids),
+        ("out/model.ssm.json", lambda cfg: load_ssm(cfg.ssm_stem)),
+        ("out/weights.mlp.json", lambda cfg: load_weights(cfg.weights_stem)),
+        ("out/masks/s000/stack.json", lambda cfg: pipeline._load_stack(cfg, "s000")),
+        ("out/model.window.json", pipeline._load_window),
+    ],
+    ids=["mesh", "population", "shape-space", "weights", "stack", "window"],
+)
+def test_undecodable_file_is_data_error(small_run, tmp_path, name, read):
+    root = shutil.copytree(small_run[0], tmp_path / "run")
+    path = root / name
+    path.write_bytes(path.read_bytes() + b"\xff")
+    with pytest.raises(DataError, match="byte 0xff") as raised:
+        read(load_config(root / "config.json"))
+    assert path.name in str(raised.value)
+
+
+@pytest.mark.parametrize(
+    "name, key, command",
+    [
+        ("out/model.window.json", "window", "slice"),
+        ("population/population.json", "subjects", "build-ssm"),
+        ("out/masks/s000/stack.json", "members", "reconstruct"),
+        ("out/masks/s000/stack.json", "spacing", "reconstruct"),
+        ("out/masks/s000/stack.json", "origin", "reconstruct"),
+    ],
+)
+def test_manifest_without_key_is_data_error(small_run, tmp_path, capsys, name, key, command):
+    root = shutil.copytree(small_run[0], tmp_path / "run")
+    path = root / name
+    doc = json.loads(path.read_text())
+    del doc[key]
+    path.write_text(json.dumps(doc))
+    argv = [command, "--config", str(root / "config.json")]
+    assert main(argv + (["--stack", str(path)] if command == "reconstruct" else [])) == 2
+    err = capsys.readouterr().err
+    assert f"{path.name} has no {key!r} key" in err
+
+
+def test_window_without_corner_is_data_error(small_run, tmp_path):
+    root = shutil.copytree(small_run[0], tmp_path / "run")
+    path = root / "out" / "model.window.json"
+    doc = json.loads(path.read_text())
+    del doc["window"]["lo"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=r"model\.window\.json is malformed: KeyError\('lo'\)"):
+        pipeline._load_window(load_config(root / "config.json"))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -200,6 +201,18 @@ def cmd_train(cfg: PipelineConfig) -> Path:
     return manifest_path
 
 
+def _truth_volume(cfg: PipelineConfig, manifest: dict, subject: str) -> float:
+    """A subject's recorded volume in cm^3; a missing or non-numeric one is a data error."""
+    entry = manifest["subjects"][subject]
+    volume = entry.get("volume_cm3") if isinstance(entry, dict) else None
+    if type(volume) not in (int, float) or not math.isfinite(volume):
+        raise DataError(
+            f"population manifest {cfg.population_dir / 'population.json'}: "
+            f"subject {subject} has no numeric 'volume_cm3' (got {volume!r})"
+        )
+    return float(volume)
+
+
 def _predicted_volume(mesh: TriMesh, subject: str) -> float:
     """Volume in cm^3 of a reconstruction; an inward-oriented one is a numerical failure.
 
@@ -244,6 +257,7 @@ def cmd_evaluate(cfg: PipelineConfig) -> tuple[Path, Path]:
     _, test_ids = split_ids(cfg)
     if not test_ids:
         raise DataError("test split is empty")
+    truth_volumes = {sid: _truth_volume(cfg, manifest, sid) for sid in test_ids}
     baseline_mesh = space.mean_mesh()
     baseline_volume = signed_volume(baseline_mesh)
     n_samples = cfg.evaluate.samples
@@ -253,7 +267,7 @@ def cmd_evaluate(cfg: PipelineConfig) -> tuple[Path, Path]:
     def eval_one(sid: str) -> dict:
         truth_mesh = _subject_mesh(cfg, sid)
         truth = metrics.sampled_surface(truth_mesh, n_samples, seed)
-        truth_volume = float(manifest["subjects"][sid]["volume_cm3"])
+        truth_volume = truth_volumes[sid]
         if cfg.evaluate.oracle_injection:
             pred_mesh = truth_mesh
             pred_volume = truth_volume

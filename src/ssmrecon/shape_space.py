@@ -184,11 +184,12 @@ def _ssm_shapes(manifest: dict) -> dict:
 def load_ssm(path) -> ShapeSpace:
     """Load a manifest/sidecar pair written by save_ssm.
 
-    Fails loudly (no partial object) on version mismatch, truncated payload
-    or manifest/payload dimension inconsistencies. The arrays are read-only
+    Fails loudly (no partial object) on version mismatch, a manifest without
+    ``faces`` or ``n_population``, truncated payload or manifest/payload
+    dimension inconsistencies. The arrays are read-only
     views of the memory-mapped sidecar.
     """
-    manifest, arrays = sidecar.load(path, "ssm", "shape space", _ssm_shapes)
+    manifest, arrays = sidecar.load(path, "ssm", "shape space", _ssm_shapes, ("faces", "n_population"))
     faces = np.asarray(manifest["faces"], dtype=np.int64).reshape(-1, 3)
     return ShapeSpace(
         arrays["mean"], arrays["components"].T, arrays["score_scale"], faces, int(manifest["n_population"])

@@ -84,16 +84,17 @@ def save(path, kind: str, header: dict, arrays: list[tuple[str, np.ndarray]]) ->
     return manifest_path, payload_path
 
 
-def load(path, kind: str, label: str, shapes) -> tuple[dict, dict[str, np.ndarray]]:
+def load(path, kind: str, label: str, shapes, keys=()) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a manifest/sidecar pair written by ``save``.
 
-    ``shapes(manifest)`` gives the row-major shape each array must have.
+    ``shapes(manifest)`` gives the row-major shape each array must have, and
+    the manifest must hold each header field in ``keys``.
     Returns the manifest and read-only float64 views into the mapped payload.
     Fails loudly (no partial object) on a version mismatch, counts that
     disagree with the dimensions, or a payload of the wrong size.
     """
     manifest_path, payload_path = _paths(path, kind)
-    manifest = read_manifest(manifest_path, f"{label} manifest")
+    manifest = read_manifest(manifest_path, f"{label} manifest", keys)
     if manifest.get("format_version") != FORMAT_VERSION:
         raise DataError(
             f"unsupported {label} format_version {manifest.get('format_version')!r} "

@@ -432,3 +432,33 @@ def test_window_without_corner_is_data_error(small_run, tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(DataError, match=r"model\.window\.json is malformed: KeyError\('lo'\)"):
         pipeline._load_window(load_config(root / "config.json"))
+
+
+@pytest.mark.parametrize("key", ["faces", "n_population"])
+def test_shape_space_without_header_key_exits_without_traceback(small_run, tmp_path, key):
+    root = shutil.copytree(small_run[0], tmp_path / "run")
+    path = root / "out" / "model.ssm.json"
+    doc = json.loads(path.read_text())
+    del doc[key]
+    path.write_text(json.dumps(doc))
+    config = str(root / "config.json")
+    for args in (["reconstruct", "--config", config, "--subject", "s000"], ["evaluate", "--config", config]):
+        done = fresh(["-m", "ssmrecon.cli", *args])
+        assert (done.returncode, "Traceback" in done.stderr) == (2, False), done.stderr
+        assert f"{path.name} has no {key!r} key" in done.stderr
+
+
+@pytest.mark.parametrize("volume", [None, "1200.0"], ids=["missing", "string"])
+def test_subject_without_numeric_volume_exits_without_traceback(small_run, tmp_path, volume):
+    root = shutil.copytree(small_run[0], tmp_path / "run")
+    path = root / "population" / "population.json"
+    doc = json.loads(path.read_text())
+    subject = pipeline.split_ids(small_run[1])[1][0]
+    if volume is None:
+        del doc["subjects"][subject]["volume_cm3"]
+    else:
+        doc["subjects"][subject]["volume_cm3"] = volume
+    path.write_text(json.dumps(doc))
+    done = fresh(["-m", "ssmrecon.cli", "evaluate", "--config", str(root / "config.json")])
+    assert (done.returncode, "Traceback" in done.stderr) == (2, False), done.stderr
+    assert f"population.json: subject {subject} has no numeric 'volume_cm3'" in done.stderr

@@ -1,4 +1,7 @@
 """The shared manifest + sidecar I/O, and the mesh and query fast paths."""
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,7 @@ from ssmrecon import mesh as M
 from ssmrecon.errors import DataError
 from ssmrecon.regressor import MlpParams, init_params, load_weights, save_weights
 from ssmrecon.shape_space import build_ssm, load_ssm, save_ssm
-from ssmrecon.spatial import MAX_COORDINATE_MM, SurfaceIndex, closest_points, closest_points_brute
+from ssmrecon.spatial import _QUERY_BLOCK_POINTS, MAX_COORDINATE_MM, SurfaceIndex, closest_points, closest_points_brute
 
 
 @pytest.fixture(scope="module")
@@ -261,3 +264,44 @@ def test_non_finite_query_point_is_data_error(bad):
         SurfaceIndex(mesh).query(np.array([[0.0, 0.0, 0.0], [bad, 0.0, 0.0]]))
     with pytest.raises(DataError, match="finite"):
         closest_points([[bad, 0.0, 0.0]], mesh)
+
+
+@pytest.mark.parametrize("mesh", [M.icosphere(40.0, 2), _triangle_soup("sliver", 0)], ids=["icosphere-2", "sliver-soup"])
+def test_query_in_blocks_bit_equal_to_brute_and_order_free(mesh):
+    """Two full blocks and a partial one answer as the oracle does, whatever the order."""
+    rng = np.random.default_rng(7)
+    points = rng.uniform(-60.0, 60.0, size=(2 * _QUERY_BLOCK_POINTS + 3, 3))
+    _assert_bit_equal_and_order_free(mesh, points)
+
+
+def test_query_of_no_points_returns_empty_arrays():
+    closest, distances = SurfaceIndex(M.icosphere(40.0, 2)).query(np.zeros((0, 3)))
+    assert closest.shape == (0, 3) and distances.shape == (0,)
+
+
+@pytest.mark.parametrize("shape", [(5, 2), (4, 3, 1), (1, 4)])
+def test_query_points_of_wrong_shape_are_data_error(shape):
+    with pytest.raises(DataError, match=re.escape(f"query points must form an (n, 3) array, not one of shape {shape}")):
+        SurfaceIndex(M.icosphere(40.0, 2)).query(np.zeros(shape))
+
+
+def _traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_query_memory_does_not_grow_with_point_count(blob_pair):
+    """Four blocks of liver samples peak as one block does, once their outputs are left out."""
+    sampled, indexed = blob_pair
+    index = SurfaceIndex(indexed)
+    points = M.surface_samples(sampled, 4 * _QUERY_BLOCK_POINTS, seed=13)
+    one = points[:_QUERY_BLOCK_POINTS]
+    index.query(one)  # warm-up: nothing allocated once per process is counted
+    output_bytes = 4 * 8  # a closest point and a distance per query point
+    one_peak = _traced_peak(index.query, one) - output_bytes * len(one)
+    four_peak = _traced_peak(index.query, points) - output_bytes * len(points)
+    assert four_peak <= 1.25 * one_peak, (four_peak, one_peak)

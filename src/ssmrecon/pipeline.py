@@ -21,7 +21,7 @@ from . import metrics, regressor, shape_space, sidecar, stats, synth
 from .config import PipelineConfig
 from .errors import ConfigError, DataError, NumericalError
 from .mesh import MM3_PER_CM3, TriMesh, load_mesh, oriented_volume_mm3, save_mesh, signed_volume
-from .register import generalized_procrustes, nonrigid_fit
+from .register import generalized_procrustes, nonrigid_fit, smoothing_system
 from .slicer import (
     MaskStack,
     SliceProtocol,
@@ -121,28 +121,34 @@ def cmd_build_ssm(cfg: PipelineConfig) -> Path:
 
     Also records the dataset's shared slicing window (training bounding box
     plus a 10% margin) and the registered meshes that training targets are
-    projected from.
+    projected from. Each subject's mesh is loaded by the pool task that fits
+    it, so parsing overlaps the other threads' fits. All fits share the
+    reference's smoothing system, factored here, on the thread that frees it.
     """
     train, _ = split_ids(cfg)
     if len(train) < 2:
         raise DataError("need at least 2 subjects to build a shape space")
-    meshes = {sid: _subject_mesh(cfg, sid) for sid in train}
-    reference = meshes[train[0]]
+    reference = _subject_mesh(cfg, train[0])
+    try:
+        smoothing_system(reference, cfg.fit.smoothness)
+    except DataError as exc:
+        raise DataError(f"subject {train[0]}: {exc}") from exc
 
-    def fit_one(sid: str) -> TriMesh:
+    def fit_one(sid: str) -> tuple[TriMesh, TriMesh]:
+        mesh = reference if sid == train[0] else _subject_mesh(cfg, sid)
         try:
-            return nonrigid_fit(reference, meshes[sid], cfg.fit)
+            return mesh, nonrigid_fit(reference, mesh, cfg.fit)
         except (DataError, NumericalError) as exc:
             raise type(exc)(f"subject {sid}: {exc}") from exc
 
-    fitted = _parallel_map(fit_one, train)
-    aligned = generalized_procrustes(fitted)
+    meshes, fitted = zip(*_parallel_map(fit_one, train))
+    aligned = generalized_procrustes(list(fitted))
 
     n_components = min(cfg.ssm.components, len(train) - 1)
     space = shape_space.build_ssm(aligned, n_components)
     manifest_path, _ = shape_space.save_ssm(space, cfg.ssm_stem)
 
-    window = window_for_population(meshes.values())
+    window = window_for_population(meshes)
     _write_json(_window_path(cfg), {"format_version": 1, "window": window.as_dict()})
 
     reg_dir = _registered_dir(cfg)

@@ -1,18 +1,17 @@
 """Exact nearest-point queries against triangle mesh surfaces.
 
-`SurfaceIndex` gathers candidate triangles with a k-d tree over face
-centroids, prunes them by a lower bound on the distance to each triangle (the
-slab-disc that holds it), then refines exactly; `closest_points_brute`
-evaluates every triangle and is the test oracle. Both return the closest point of the face
-with the smallest squared distance and, among tied faces, the lowest face id,
-so their points agree bit for bit. A query runs in fixed blocks of points,
-so its working memory is set by the block size, not by the number of points.
-scipy is imported where the tree is built, so commands that never index a
-surface start without it.
+`SurfaceIndex` gathers candidate triangles with k-nearest-neighbour calls on
+a k-d tree over face centroids, prunes them by a lower bound on the distance
+to each triangle (the slab-disc that holds it), then refines exactly;
+`closest_points_brute` evaluates every triangle and is the test oracle. Both
+return the closest point of the face with the smallest squared distance and,
+among tied faces, the lowest face id, so their points agree bit for bit. A
+query runs in blocks of at most a fixed number of points, so its working
+memory is set by the block size, not by the number of points. scipy is
+imported where the tree is built, so commands that never index a surface
+start without it.
 """
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -26,12 +25,24 @@ from .mesh import TriMesh
 # products overflow to inf and it returns wrong rows or fails.
 MAX_COORDINATE_MM = 1e60
 
-# Points per block of `SurfaceIndex.query`. A block's candidate arrays take about 100 bytes
-# per candidate, 7 kB per point for liver samples against another liver (68 candidates), so a
-# query's temporaries stay near 15 MB however many points it has. Smaller blocks cost more per
-# point: each block pays about 0.4 ms of fixed calls, and more handoffs of the interpreter lock
-# between the pool's threads.
+# Most points per block of `SurfaceIndex.query`; a query's points are split into the fewest
+# blocks of equal size (within one point) that this allows. A block's candidate arrays take
+# about 100 bytes per candidate, 7 kB per point for liver samples against another liver (68
+# candidates), so a query's temporaries stay near 15 MB however many points it has. Smaller
+# blocks cost more per point: each block pays about 0.4 ms of fixed calls, and more handoffs of
+# the interpreter lock between the pool's threads.
 _QUERY_BLOCK_POINTS = 2048
+
+# Neighbours asked for in a block's first k-d tree call, and the factor by which k grows for
+# the points whose k-th neighbour still lies inside their candidate ball. A registration query
+# has a median of 6 candidates per point and evaluate's 9-11, so 16 settles most points at once.
+_FIRST_K = 16
+_K_GROWTH = 4
+
+# Points per k-d tree call after the first. The points are taken in order of ball radius and
+# each call is bounded by the largest radius of its points, so the tree neither visits nor keeps
+# centroids beyond it: the cost follows the candidates found, not k.
+_BOUNDED_CALL_POINTS = 128
 
 
 def closest_on_triangles(points: np.ndarray, tri: np.ndarray) -> np.ndarray:
@@ -152,6 +163,19 @@ class SurfaceIndex:
     to the lowest face id: the rule of `closest_points_brute`, so points and
     distances match it exactly.
 
+    The ball is gathered with k-nearest-neighbour calls, which return whole
+    arrays and release the interpreter lock once per call, so the queries of
+    the pool's threads run side by side (a ball query builds a Python list
+    per point and takes the lock back for each). One call with k =
+    ``_FIRST_K`` gives the nearest centroid and the first neighbours. A point
+    is settled once its k-th neighbour lies beyond its ball, and its
+    candidates are then the neighbours inside the ball; the others are asked
+    again with k ``_K_GROWTH`` times larger, up to the face count, where
+    every point is settled. These later calls take ``_BOUNDED_CALL_POINTS``
+    points at a time in order of ball radius, bounded by the largest radius
+    among them: a neighbour the bound leaves out lies beyond the point's ball
+    and reads as infinitely far, which settles the point as well.
+
     The slab-disc of face f is centred on its centroid ``c_f`` with unit
     normal ``n_f``: half-thickness ``t_f = max_k |n_f . (v_k - c_f)|`` along
     the normal and radius ``spread_f`` in the plane. Every corner lies in it,
@@ -163,9 +187,10 @@ class SurfaceIndex:
     from ``p`` to any point of the face. A zero-area face has a NaN normal
     and so a NaN bound, which never compares above the limit: it is kept.
 
-    A query runs on consecutive blocks of ``_QUERY_BLOCK_POINTS`` points and
-    writes each block's winners into its output arrays. The candidate lists
-    and bound arrays live for one block at a time, so a query's working
+    A query runs on consecutive blocks of at most ``_QUERY_BLOCK_POINTS``
+    points, as few as that allows and equal in size to within one point, and
+    writes each block's winners into its output arrays. The candidate and
+    bound arrays live for one block at a time, so a query's working
     memory does not grow with its point count (evaluate's pool runs
     10,000-sample queries side by side). Each point's answer depends on that
     point alone, so the blocks change no bit.
@@ -207,27 +232,56 @@ class SurfaceIndex:
             raise DataError(f"query points must be finite and lie within +-{MAX_COORDINATE_MM:g} mm")
         closest = np.empty_like(p)
         distances = np.empty(len(p))
-        for start in range(0, len(p), _QUERY_BLOCK_POINTS):
-            block = slice(start, start + _QUERY_BLOCK_POINTS)
+        blocks = -(-len(p) // _QUERY_BLOCK_POINTS)
+        for b in range(blocks):
+            block = slice(b * len(p) // blocks, (b + 1) * len(p) // blocks)
             closest[block], distances[block] = self._query_block(p[block])
         return closest, distances
 
+    def _neighbours(self, p: np.ndarray, k: int, upper: float) -> tuple[np.ndarray, np.ndarray]:
+        """Distances and face ids of the k nearest centroids closer than ``upper``, as (len(p), k)
+        arrays; a neighbour missing within the bound has distance inf."""
+        dist, faces = self.tree.query(p, k=k, distance_upper_bound=upper)
+        return dist.reshape(len(p), k), faces.reshape(len(p), k)
+
     def _query_block(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """`query` for one block of validated points."""
-        n = len(p)
-        _, nearest = self.tree.query(p, k=1)
-        bound = np.sqrt(((closest_on_triangles(p, self.tri[nearest]) - p) ** 2).sum(axis=1))
+        n_faces = len(self.tri)
+        k = min(_FIRST_K, n_faces)
+        dist, nbrs = self._neighbours(p, k, np.inf)
+        bound = np.sqrt(((closest_on_triangles(p, self.tri[nbrs[:, 0]]) - p) ** 2).sum(axis=1))
         # slack for rounding in the bounds, so no tied face is pruned; the absolute part covers
         # meshes so small (below ~1e-150 mm) that squared distances and the exact test underflow
         limit = bound + 1e-9 * (np.abs(p).max(axis=1) + bound + self.max_spread) + 1e-150
+        radius = limit + self.max_spread
 
-        # the winner below does not depend on candidate order, so the lists need no sorting
-        balls = self.tree.query_ball_point(p, limit + self.max_spread, return_sorted=False)
-        counts = np.fromiter(map(len, balls), dtype=np.int64, count=n)
-        faces = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.int64, count=int(counts.sum()))
-        del balls  # free the lists before the prune, where the block peaks in memory
+        rows = np.arange(len(p))
+        owner_parts, face_parts = [], []
+        while True:
+            # settled: the k-th neighbour lies beyond the ball, or every face is a neighbour
+            settled = (dist[:, -1] > radius[rows]) | (k == n_faces)
+            at, col = np.nonzero((dist <= radius[rows, None]) & settled[:, None])
+            owner_parts.append(rows[at])
+            face_parts.append(nbrs[at, col])
+            rows = rows[~settled]
+            if not len(rows):
+                break
+            k = min(_K_GROWTH * k, n_faces)
+            rows = rows[np.argsort(radius[rows])]
+            calls = [self._neighbours(p[g], k, radius[g[-1]])
+                     for g in np.split(rows, range(_BOUNDED_CALL_POINTS, len(rows), _BOUNDED_CALL_POINTS))]
+            dist = np.concatenate([d for d, _ in calls])
+            nbrs = np.concatenate([f for _, f in calls])
+        owners = np.concatenate(owner_parts)
+        faces = np.concatenate(face_parts)
+        if len(owner_parts) > 1:
+            # later rounds take the points in order of radius; the reduction below needs each
+            # point's candidates in one segment, and does not depend on their order within it
+            order = np.argsort(owners, kind="stable")
+            owners, faces = owners[order], faces[order]
+
         # the slab-disc lower bound, written ~(lb > limit) so that a NaN bound keeps its face
-        d = np.repeat(p, counts, axis=0)
+        d = p.take(owners, axis=0)
         d -= self.centroids.take(faces, axis=0)
         normal = self.normals.take(faces, axis=0)
         h = np.einsum("ij,ij->i", d, normal)
@@ -235,8 +289,8 @@ class SurfaceIndex:
         r = np.sqrt(np.einsum("ij,ij->i", d, d))
         normal_gap = np.maximum(np.abs(h) - self.thickness.take(faces), 0.0)
         plane_gap = np.maximum(r - self.spread.take(faces), 0.0)
-        keep = ~(np.sqrt(normal_gap**2 + plane_gap**2) > np.repeat(limit, counts))
-        owners = np.repeat(np.arange(n), counts)[keep]
+        keep = ~(np.sqrt(normal_gap**2 + plane_gap**2) > limit.take(owners))
+        owners = owners[keep]
         faces = faces[keep]
 
         q = p.take(owners, axis=0)

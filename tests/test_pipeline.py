@@ -4,10 +4,12 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from ssmrecon import pipeline, regressor, sidecar
 from ssmrecon.cli import main
@@ -188,6 +190,21 @@ def test_oracle_injection_gives_null_result(small_run):
 
 # ---------------------------------------------------------------------------
 # reconstruct command
+
+
+def test_build_ssm_factors_once_on_the_calling_thread(small_run, monkeypatch):
+    """The pool's fits share one factorization, made on the thread that frees it: scipy's SuperLU
+    leaks a factor freed on another thread."""
+    tmp = small_run[0]
+    cfg = load_config(make_config(tmp, {"paths": {"ssm": "out_factor/model", "output_dir": "out_factor"}},
+                                  name="config_factor.json"))
+    factorized = scipy.sparse.linalg.factorized
+    threads = []
+    monkeypatch.setattr(scipy.sparse.linalg, "factorized", lambda a: threads.append(threading.current_thread()) or factorized(a))
+    monkeypatch.setenv("SSMRECON_THREADS", "2")
+    pipeline.cmd_build_ssm(cfg)
+    assert threads == [threading.current_thread()]
+    assert (tmp / "out_factor" / "model.ssm.bin").read_bytes() == (tmp / "out" / "model.ssm.bin").read_bytes()
 
 
 def test_output_independent_of_thread_cap(small_run, monkeypatch):

@@ -1,5 +1,9 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +18,7 @@ from ssmrecon.register import (
     generalized_procrustes,
     nonrigid_fit,
     rigid_align,
+    smoothing_system,
 )
 
 
@@ -147,6 +152,47 @@ def test_fit_objective_non_increasing(blob_pair):
     _, log = nonrigid_fit(template, target, return_log=True)
     obj = np.asarray(log.objective)
     assert (np.diff(obj) <= 1e-9 * max(1.0, obj[0])).all()
+
+
+def test_fits_on_a_pool_share_one_factorization(blob_pair, monkeypatch):
+    """Three fits from two threads factor the template's system once, with the bits of fresh factorizations."""
+    template, target = blob_pair
+    targets = [
+        target,
+        target.with_vertices(target.vertices * 1.05),
+        template.with_vertices(template.vertices @ rotation_about_z(0.2).T + np.array([3.0, -2.0, 1.0])),
+    ]
+    fresh = [nonrigid_fit(M.TriMesh(template.vertices, template.faces), t, return_log=True) for t in targets]
+
+    factorized = scipy.sparse.linalg.factorized
+    factored = []
+    monkeypatch.setattr(scipy.sparse.linalg, "factorized", lambda a: factored.append(a) or factorized(a))
+    shared_template = M.TriMesh(template.vertices, template.faces)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        shared = list(pool.map(lambda t: nonrigid_fit(shared_template, t, return_log=True), targets))
+
+    assert len(factored) == 1
+    for (fresh_fit, fresh_log), (shared_fit, shared_log) in zip(fresh, shared):
+        assert np.array_equal(shared_fit.vertices, fresh_fit.vertices)
+        assert shared_log == fresh_log
+
+
+def test_smoothing_system_factored_once_under_thread_contention(monkeypatch):
+    """Eight threads, switching as often as the interpreter allows, all get the one factorization."""
+    template = M.icosphere(30.0, 2)
+    factorized = scipy.sparse.linalg.factorized
+    factored = []
+    monkeypatch.setattr(scipy.sparse.linalg, "factorized", lambda a: factored.append(a) or factorized(a))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(smoothing_system, template, 2.0) for _ in range(32)]
+            systems = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(factored) == 1
+    assert all(system is systems[0] for system in systems)
 
 
 def test_fit_rejects_open_template(blob_pair):

@@ -274,6 +274,26 @@ def test_query_in_blocks_bit_equal_to_brute_and_order_free(mesh):
     _assert_bit_equal_and_order_free(mesh, points)
 
 
+@pytest.mark.parametrize("mesh", [_triangle_soup("ordinary", 0, n_faces=1), _triangle_soup("sliver", 1, n_faces=2), M.cube(30.0)],
+                         ids=["1-face", "2-face", "12-face"])
+def test_query_bit_equal_on_meshes_with_few_faces(mesh):
+    """Fewer faces than the first k-d tree call asks for."""
+    _assert_bit_equal_and_order_free(mesh, _tie_heavy_points(mesh, seed=len(mesh.faces)))
+
+
+def test_query_bit_equal_far_off_the_surface(monkeypatch):
+    """At 1e11-1e12 mm the rounding slack puts every face in each point's ball, so k grows to the face count."""
+    mesh = M.icosphere(40.0, 2)
+    rng = np.random.default_rng(5)
+    direction = rng.normal(size=(200, 3))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    asked = []
+    neighbours = SurfaceIndex._neighbours
+    monkeypatch.setattr(SurfaceIndex, "_neighbours", lambda index, p, k, upper: asked.append(k) or neighbours(index, p, k, upper))
+    _assert_bit_equal_and_order_free(mesh, direction * rng.uniform(1e11, 1e12, size=(200, 1)))
+    assert max(asked) == len(mesh.faces)
+
+
 def test_query_of_no_points_returns_empty_arrays():
     closest, distances = SurfaceIndex(M.icosphere(40.0, 2)).query(np.zeros((0, 3)))
     assert closest.shape == (0, 3) and distances.shape == (0,)

@@ -1,7 +1,8 @@
 """Exact nearest-point queries against triangle mesh surfaces.
 
-`SurfaceIndex` gathers candidate triangles with k-nearest-neighbour calls on
-a k-d tree over face centroids, prunes them by a lower bound on the distance
+`SurfaceIndex` gathers candidate triangles from a k-d tree over face
+centroids, with k-nearest-neighbour calls and a ball query for the few
+largest balls, prunes them by a lower bound on the distance
 to each triangle (the slab-disc that holds it), then refines exactly;
 `closest_points_brute` evaluates every triangle and is the test oracle. Both
 return the closest point of the face with the smallest squared distance and,
@@ -12,6 +13,8 @@ imported where the tree is built, so commands that never index a surface
 start without it.
 """
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -33,15 +36,18 @@ MAX_COORDINATE_MM = 1e60
 # the interpreter lock between the pool's threads.
 _QUERY_BLOCK_POINTS = 2048
 
-# Neighbours asked for in a block's first k-d tree call, and the factor by which k grows for
-# the points whose k-th neighbour still lies inside their candidate ball. A registration query
-# has a median of 6 candidates per point and evaluate's 9-11, so 16 settles most points at once.
-_FIRST_K = 16
-_K_GROWTH = 4
+# Neighbours asked for in a point's k-nearest-neighbour call. A point whose ball holds more
+# candidates is answered by a ball query instead. Registration balls hold a median of 6
+# candidates and evaluate's 9-11, but up to about 60 against a 20,480-face surface, where a k-NN
+# call costs more per candidate than a ball query: it keeps a heap of k and sorts it. With k = 64
+# a fine-mesh build sends 0.01% of its registration points to the ball query, and evaluate
+# 0.2-14% of its points against a 20,480-face surface, by seed.
+_KNN_K = 64
 
-# Points per k-d tree call after the first. The points are taken in order of ball radius and
-# each call is bounded by the largest radius of its points, so the tree neither visits nor keeps
-# centroids beyond it: the cost follows the candidates found, not k.
+# Points per k-nearest-neighbour call. The points are taken in order of ball radius and each
+# call is bounded by the largest radius of its points, so the tree neither visits nor keeps
+# centroids beyond it: the cost follows the candidates found, not k. A call's arrays (128 x k
+# distances and face ids) stay in cache while its points are settled.
 _BOUNDED_CALL_POINTS = 128
 
 
@@ -166,15 +172,18 @@ class SurfaceIndex:
     The ball is gathered with k-nearest-neighbour calls, which return whole
     arrays and release the interpreter lock once per call, so the queries of
     the pool's threads run side by side (a ball query builds a Python list
-    per point and takes the lock back for each). One call with k =
-    ``_FIRST_K`` gives the nearest centroid and the first neighbours. A point
-    is settled once its k-th neighbour lies beyond its ball, and its
-    candidates are then the neighbours inside the ball; the others are asked
-    again with k ``_K_GROWTH`` times larger, up to the face count, where
-    every point is settled. These later calls take ``_BOUNDED_CALL_POINTS``
-    points at a time in order of ball radius, bounded by the largest radius
-    among them: a neighbour the bound leaves out lies beyond the point's ball
-    and reads as infinitely far, which settles the point as well.
+    per point and takes the lock back for each). A k = 1 call gives each
+    point's nearest centroid and so its ball. The points are then taken in
+    order of ball radius, ``_BOUNDED_CALL_POINTS`` at a time, and asked for
+    ``_KNN_K`` neighbours bounded by the largest radius among them (a
+    neighbour the bound leaves out reads as infinitely far). A point whose
+    k-th neighbour lies beyond its ball, or whose mesh has at most k faces,
+    takes the neighbours inside its ball as candidates. The others, points
+    far off the surface or near a fine one, hold more candidates than k,
+    and one ball query gathers theirs: its cost follows the candidates,
+    where a k-NN call with a larger k would keep and sort more neighbours
+    per point than a ball query lists. An unbounded first call with k > 1
+    would search past the ball for neighbours it then drops.
 
     The slab-disc of face f is centred on its centroid ``c_f`` with unit
     normal ``n_f``: half-thickness ``t_f = max_k |n_f . (v_k - c_f)|`` along
@@ -238,47 +247,40 @@ class SurfaceIndex:
             closest[block], distances[block] = self._query_block(p[block])
         return closest, distances
 
-    def _neighbours(self, p: np.ndarray, k: int, upper: float) -> tuple[np.ndarray, np.ndarray]:
-        """Distances and face ids of the k nearest centroids closer than ``upper``, as (len(p), k)
-        arrays; a neighbour missing within the bound has distance inf."""
-        dist, faces = self.tree.query(p, k=k, distance_upper_bound=upper)
-        return dist.reshape(len(p), k), faces.reshape(len(p), k)
-
     def _query_block(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """`query` for one block of validated points."""
         n_faces = len(self.tri)
-        k = min(_FIRST_K, n_faces)
-        dist, nbrs = self._neighbours(p, k, np.inf)
-        bound = np.sqrt(((closest_on_triangles(p, self.tri[nbrs[:, 0]]) - p) ** 2).sum(axis=1))
+        _, nearest = self.tree.query(p, k=1)
+        bound = np.sqrt(((closest_on_triangles(p, self.tri[nearest]) - p) ** 2).sum(axis=1))
         # slack for rounding in the bounds, so no tied face is pruned; the absolute part covers
         # meshes so small (below ~1e-150 mm) that squared distances and the exact test underflow
         limit = bound + 1e-9 * (np.abs(p).max(axis=1) + bound + self.max_spread) + 1e-150
         radius = limit + self.max_spread
 
-        rows = np.arange(len(p))
-        owner_parts, face_parts = [], []
-        while True:
+        owner_parts, face_parts, crowded = [], [], []
+        rows = np.argsort(radius)  # so that each call's bound is tight for its points
+        k = min(_KNN_K, n_faces)
+        for start in range(0, len(rows), _BOUNDED_CALL_POINTS):
+            g = rows[start:start + _BOUNDED_CALL_POINTS]
+            dist, nbrs = self.tree.query(p[g], k=k, distance_upper_bound=radius[g[-1]])
+            dist, nbrs = dist.reshape(len(g), k), nbrs.reshape(len(g), k)
             # settled: the k-th neighbour lies beyond the ball, or every face is a neighbour
-            settled = (dist[:, -1] > radius[rows]) | (k == n_faces)
-            at, col = np.nonzero((dist <= radius[rows, None]) & settled[:, None])
-            owner_parts.append(rows[at])
+            settled = (dist[:, -1] > radius[g]) | (k == n_faces)
+            at, col = np.nonzero((dist <= radius[g, None]) & settled[:, None])
+            owner_parts.append(g[at])
             face_parts.append(nbrs[at, col])
-            rows = rows[~settled]
-            if not len(rows):
-                break
-            k = min(_K_GROWTH * k, n_faces)
-            rows = rows[np.argsort(radius[rows])]
-            calls = [self._neighbours(p[g], k, radius[g[-1]])
-                     for g in np.split(rows, range(_BOUNDED_CALL_POINTS, len(rows), _BOUNDED_CALL_POINTS))]
-            dist = np.concatenate([d for d, _ in calls])
-            nbrs = np.concatenate([f for _, f in calls])
+            crowded.append(g[~settled])
+        rows = np.concatenate(crowded)
+        if len(rows):
+            balls = self.tree.query_ball_point(p[rows], radius[rows], return_sorted=False)
+            counts = np.fromiter(map(len, balls), dtype=np.int64, count=len(rows))
+            owner_parts.append(np.repeat(rows, counts))
+            face_parts.append(np.fromiter(itertools.chain.from_iterable(balls), dtype=np.int64, count=int(counts.sum())))
+            del balls  # free the lists before the prune, where the block peaks in memory
+        # each point's candidates form one segment, never empty (the face of its nearest centroid
+        # is within the limit), and the segments come in order of radius, not of point
         owners = np.concatenate(owner_parts)
         faces = np.concatenate(face_parts)
-        if len(owner_parts) > 1:
-            # later rounds take the points in order of radius; the reduction below needs each
-            # point's candidates in one segment, and does not depend on their order within it
-            order = np.argsort(owners, kind="stable")
-            owners, faces = owners[order], faces[order]
 
         # the slab-disc lower bound, written ~(lb > limit) so that a NaN bound keeps its face
         d = p.take(owners, axis=0)
@@ -296,13 +298,17 @@ class SurfaceIndex:
         q = p.take(owners, axis=0)
         cand = closest_on_triangles(q, self.tri.take(faces, axis=0))
         d2 = ((cand - q) ** 2).sum(axis=1)
-        # owners ascend, so each point's candidates form one segment, never empty:
-        # the face of the nearest centroid is within the limit
-        starts = np.flatnonzero(np.diff(owners, prepend=-1))
-        tied = d2 == np.minimum.reduceat(d2, starts)[owners]
-        lowest = np.minimum.reduceat(np.where(tied, faces, len(self.tri)), starts)
-        first = np.flatnonzero(tied & (faces == lowest[owners]))
-        return cand[first], np.sqrt(d2[first])
+        change = np.diff(owners, prepend=-1) != 0
+        starts = np.flatnonzero(change)
+        segment = np.cumsum(change) - 1
+        tied = d2 == np.minimum.reduceat(d2, starts)[segment]
+        lowest = np.minimum.reduceat(np.where(tied, faces, n_faces), starts)
+        first = np.flatnonzero(tied & (faces == lowest[segment]))
+        closest = np.empty_like(p)
+        distances = np.empty(len(p))
+        closest[owners[first]] = cand[first]
+        distances[owners[first]] = np.sqrt(d2[first])
+        return closest, distances
 
 
 def closest_points(points: np.ndarray, mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:

@@ -9,7 +9,7 @@ from ssmrecon import mesh as M
 from ssmrecon.errors import DataError
 from ssmrecon.regressor import MlpParams, init_params, load_weights, save_weights
 from ssmrecon.shape_space import build_ssm, load_ssm, save_ssm
-from ssmrecon.spatial import _QUERY_BLOCK_POINTS, MAX_COORDINATE_MM, SurfaceIndex, closest_points, closest_points_brute
+from ssmrecon.spatial import _KNN_K, _QUERY_BLOCK_POINTS, MAX_COORDINATE_MM, SurfaceIndex, closest_points, closest_points_brute
 
 
 @pytest.fixture(scope="module")
@@ -277,21 +277,18 @@ def test_query_in_blocks_bit_equal_to_brute_and_order_free(mesh):
 @pytest.mark.parametrize("mesh", [_triangle_soup("ordinary", 0, n_faces=1), _triangle_soup("sliver", 1, n_faces=2), M.cube(30.0)],
                          ids=["1-face", "2-face", "12-face"])
 def test_query_bit_equal_on_meshes_with_few_faces(mesh):
-    """Fewer faces than the first k-d tree call asks for."""
+    """Fewer faces than a k-NN call asks for."""
     _assert_bit_equal_and_order_free(mesh, _tie_heavy_points(mesh, seed=len(mesh.faces)))
 
 
-def test_query_bit_equal_far_off_the_surface(monkeypatch):
-    """At 1e11-1e12 mm the rounding slack puts every face in each point's ball, so k grows to the face count."""
+def test_query_bit_equal_far_off_the_surface():
+    """At 1e11-1e12 mm the rounding slack puts every face in each point's ball, more than a k-NN call keeps."""
     mesh = M.icosphere(40.0, 2)
+    assert len(mesh.faces) > _KNN_K
     rng = np.random.default_rng(5)
     direction = rng.normal(size=(200, 3))
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-    asked = []
-    neighbours = SurfaceIndex._neighbours
-    monkeypatch.setattr(SurfaceIndex, "_neighbours", lambda index, p, k, upper: asked.append(k) or neighbours(index, p, k, upper))
     _assert_bit_equal_and_order_free(mesh, direction * rng.uniform(1e11, 1e12, size=(200, 1)))
-    assert max(asked) == len(mesh.faces)
 
 
 def test_query_of_no_points_returns_empty_arrays():

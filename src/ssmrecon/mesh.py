@@ -13,6 +13,7 @@ from operator import itemgetter
 
 import numpy as np
 
+from . import sidecar
 from .errors import DataError
 
 log = logging.getLogger(__name__)
@@ -238,8 +239,7 @@ def save_mesh(mesh: TriMesh, path) -> None:
     """
     text = ("v %r %r %r\n" * mesh.n_vertices) % tuple(mesh.vertices.ravel().tolist())
     text += ("f %d %d %d\n" * mesh.n_faces) % tuple((mesh.faces + 1).ravel().tolist())
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    sidecar.write(path, text.encode("ascii"))
 
 
 # ---------------------------------------------------------------------------

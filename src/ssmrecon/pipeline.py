@@ -9,6 +9,7 @@ always reduced in subject-id order.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -50,13 +51,6 @@ def _parallel_map(fn, items):
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
-
-
-def _write_json(path: Path, doc: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -149,10 +143,10 @@ def cmd_build_ssm(cfg: PipelineConfig) -> Path:
     manifest_path, _ = shape_space.save_ssm(space, cfg.ssm_stem)
 
     window = window_for_population(meshes)
-    _write_json(_window_path(cfg), {"format_version": 1, "window": window.as_dict()})
+    window_doc = {"format_version": 1, "window": window.as_dict()}
+    sidecar.write(_window_path(cfg), (json.dumps(window_doc, sort_keys=True, indent=1) + "\n").encode("utf-8"))
 
     reg_dir = _registered_dir(cfg)
-    reg_dir.mkdir(parents=True, exist_ok=True)
     for sid, mesh in zip(train, aligned):
         save_mesh(mesh, reg_dir / f"{sid}.obj")
     return manifest_path
@@ -197,13 +191,12 @@ def cmd_train(cfg: PipelineConfig) -> Path:
     params, log = regressor.train(dataset, cfg.train, n_hidden=cfg.train.hidden)
     manifest_path, _ = regressor.save_weights(params, cfg.weights_stem)
 
-    log_path = cfg.output_dir / "training_log.csv"
-    log_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(log_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "val_loss"])
-        for epoch, t_loss, v_loss in log.rows():
-            writer.writerow([epoch, repr(t_loss), repr(v_loss)])
+    rows = io.StringIO()
+    writer = csv.writer(rows)
+    writer.writerow(["epoch", "train_loss", "val_loss"])
+    for epoch, t_loss, v_loss in log.rows():
+        writer.writerow([epoch, repr(t_loss), repr(v_loss)])
+    sidecar.write(cfg.output_dir / "training_log.csv", rows.getvalue().encode("utf-8"))
     return manifest_path
 
 
@@ -246,7 +239,6 @@ def cmd_reconstruct(cfg: PipelineConfig, subject: str | None = None, stack_path=
     mesh = shape_space.reconstruct(space, regressor.forward(params, stack))
     volume = _predicted_volume(mesh, subject)
     out_path = cfg.output_dir / "recon" / f"{subject}.obj"
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     save_mesh(mesh, out_path)
     return out_path, volume
 
@@ -316,9 +308,9 @@ def cmd_evaluate(cfg: PipelineConfig) -> tuple[Path, Path]:
         },
     }
     json_path = cfg.output_dir / "evaluation.json"
-    _write_json(json_path, report)
+    sidecar.write(json_path, (json.dumps(report, sort_keys=True, indent=1) + "\n").encode("utf-8"))
     text_path = cfg.output_dir / "evaluation.txt"
-    text_path.write_text(_report_text(report), encoding="utf-8")
+    sidecar.write(text_path, _report_text(report).encode("utf-8"))
     return json_path, text_path
 
 

@@ -5,8 +5,10 @@ Shape spaces (``<stem>.ssm.json`` / ``.ssm.bin``) and regressor weights
 ``format_version``, the owner's header fields, ``dtype`` and, under
 ``payload``, the byte offset and value count of each array in the sidecar.
 
-Both files are written to ``<file>.tmp`` and renamed into place, so a crash
-never leaves a torn file and a process still mapping the old payload keeps
+Every file the toolkit writes goes through `write` or `save`: each writer
+fills a temp file of its own next to the target and renames it into place,
+so a crash never leaves a torn file, two writers of one path leave one
+writer's complete bytes, and a process still mapping the old payload keeps
 reading the old bytes. The payload is read through one read-only memory
 map; loaded arrays are views into it, not copies. `read_manifest` reads
 these manifests and the toolkit's other JSON manifests alike.
@@ -38,14 +40,25 @@ def _paths(path, kind: str) -> tuple[Path, Path]:
 
 @contextmanager
 def _replacing(path: Path):
-    """Binary file handle on ``<path>.tmp``, renamed over ``path`` only on success."""
-    tmp = path.with_name(path.name + ".tmp")
+    """Binary file handle on ``<path>.<random>.tmp``, renamed over ``path`` only on success.
+
+    Each writer gets a temp file of its own (``"xb"`` never shares one, and
+    gives the mode a plain `open` gives); a missing parent directory is made.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     try:
-        with open(tmp, "wb") as fh:
+        with open(tmp, "xb") as fh:
             yield fh
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def write(path, data: bytes) -> None:
+    """Replace the file at ``path`` with ``data`` in one rename (see `_replacing`)."""
+    with _replacing(Path(path)) as fh:
+        fh.write(data)
 
 
 def read_manifest(path, label: str, keys=()) -> dict:
@@ -75,12 +88,10 @@ def save(path, kind: str, header: dict, arrays: list[tuple[str, np.ndarray]]) ->
         offsets[name] = {"offset": cursor, "count": int(arr.size)}
         cursor += _ITEM * arr.size
     manifest = {"format_version": FORMAT_VERSION, **header, "payload": offsets, "dtype": _DTYPE}
-    manifest_path.parent.mkdir(parents=True, exist_ok=True)
     with _replacing(payload_path) as fh:
         for _, arr in arrays:
             np.ascontiguousarray(arr, dtype=_DTYPE).tofile(fh)
-    with _replacing(manifest_path) as fh:
-        fh.write(json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8"))
+    write(manifest_path, json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8"))
     return manifest_path, payload_path
 
 

@@ -279,9 +279,7 @@ def save_mask(mask: np.ndarray, path) -> None:
     if not np.isin(m, (0, 1)).all():
         raise DataError("mask values must be 0 or 1")
     h, w = m.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write((m * np.uint8(255)).tobytes())
+    sidecar.write(path, f"P5\n{w} {h}\n255\n".encode("ascii") + (m * np.uint8(255)).tobytes())
 
 
 def load_mask(path) -> np.ndarray:
@@ -309,7 +307,6 @@ def load_mask(path) -> np.ndarray:
 def save_mask_stack(stack: MaskStack, directory, plane_offsets, window: Window) -> Path:
     """Write one PGM per mask plus a JSON manifest; returns the manifest path."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     members = []
     for i, mask in enumerate(stack.masks):
         name = f"slice_{i}.pgm"
@@ -324,8 +321,7 @@ def save_mask_stack(stack: MaskStack, directory, plane_offsets, window: Window) 
         "origin": [stack.origin[0], stack.origin[1]],
     }
     manifest_path = directory / "stack.json"
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, separators=(",", ":"))
+    sidecar.write(manifest_path, json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8"))
     return manifest_path
 
 

@@ -118,7 +118,6 @@ def subject_id(index: int) -> str:
 def write_population(meshes: list[TriMesh], volumes: list[float], cfg: SynthConfig, directory) -> Path:
     """Emit one OBJ per subject plus a ground-truth JSON manifest."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     subjects = {}
     for i, (mesh, vol) in enumerate(zip(meshes, volumes)):
         sid = subject_id(i)
@@ -130,8 +129,7 @@ def write_population(meshes: list[TriMesh], volumes: list[float], cfg: SynthConf
         "subjects": subjects,
     }
     manifest_path = directory / "population.json"
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, separators=(",", ":"))
+    sidecar.write(manifest_path, json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8"))
     return manifest_path
 
 

@@ -1,14 +1,19 @@
 """The shared manifest + sidecar I/O, and the mesh and query fast paths."""
+import errno
+import io
 import re
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from ssmrecon import mesh as M
+from ssmrecon import sidecar
 from ssmrecon.errors import DataError
 from ssmrecon.regressor import MlpParams, init_params, load_weights, save_weights
 from ssmrecon.shape_space import build_ssm, load_ssm, save_ssm
+from ssmrecon.slicer import MaskStack, Window, save_mask, save_mask_stack
 from ssmrecon.spatial import _KNN_K, _QUERY_BLOCK_POINTS, MAX_COORDINATE_MM, SurfaceIndex, closest_points, closest_points_brute
 
 
@@ -93,6 +98,104 @@ def test_save_accepts_either_file_name(tmp_path):
     manifest, payload = save_weights(params, tmp_path / "net.mlp.bin")
     assert (manifest.name, payload.name) == ("net.mlp.json", "net.mlp.bin")
     assert np.array_equal(load_weights(tmp_path / "net.mlp.json").w1, params.w1)
+
+
+# ---------------------------------------------------------------------------
+# Every artifact is replaced whole: concurrent and interrupted writes
+
+
+def _write_obj(directory, k):
+    M.save_mesh(M.icosphere(10.0 + k, 2 + k), directory / "mesh.obj")
+
+
+def _write_pgm(directory, k):
+    save_mask(np.eye(16 + 48 * k, dtype=np.uint8), directory / "mask.pgm")
+
+
+def _write_stack(directory, k):
+    """The same masks each time; the manifest's offsets and window differ with ``k``."""
+    masks = tuple(np.tri(32, k=i, dtype=np.uint8) for i in range(3))
+    window = Window(np.full(3, -50.0 - k / 3), np.full(3, 50.0 + k / 7))
+    offsets = (0.35, 0.5, 0.65) if k == 0 else (0.3, 0.5123456789, 0.7)
+    save_mask_stack(MaskStack(masks, (1.0, 1.0), (0.0, 0.0)), directory, offsets, window)
+
+
+def _write_model(directory, k):
+    save_weights(init_params(20, 6 + 4 * k, 4, seed=k), directory / "net")
+
+
+WRITERS = {"obj": _write_obj, "pgm": _write_pgm, "stack": _write_stack, "model": _write_model}
+
+
+def _files(directory) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+@pytest.mark.parametrize("kind", sorted(WRITERS))
+def test_concurrent_writers_leave_one_writers_complete_file(tmp_path, kind):
+    write = WRITERS[kind]
+    variants = []
+    for k in (0, 1):
+        (tmp_path / f"alone{k}").mkdir()
+        write(tmp_path / f"alone{k}", k)
+        variants.append(_files(tmp_path / f"alone{k}"))
+    shared = tmp_path / "shared"
+    errors = []
+
+    def writer(k, start):
+        start.wait()
+        try:
+            for _ in range(5):
+                write(shared, k)
+        except Exception as exc:  # reported below, with the round it happened in
+            errors.append(exc)
+
+    for round_ in range(10):
+        start = threading.Barrier(2)
+        threads = [threading.Thread(target=writer, args=(k, start)) for k in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert errors == [], (round_, errors)
+        got = _files(shared)
+        assert set(got) == set(variants[0]), (round_, sorted(got))
+        for name, data in got.items():
+            assert data in (variants[0][name], variants[1][name]), (round_, name)
+
+
+class _FailsPartWay(io.FileIO):
+    """A temp file that takes half of a write, or the first array a model streams in, then raises."""
+
+    arrays = 0
+
+    def write(self, data):
+        super().write(bytes(data)[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def fileno(self):  # numpy's tofile writes each array through the descriptor
+        self.arrays += 1
+        if self.arrays > 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return super().fileno()
+
+
+@pytest.mark.parametrize(
+    "kind, failing",
+    [("obj", ".obj."), ("pgm", ".pgm."), ("stack", "stack.json."), ("model", ".mlp.bin.")],
+)
+def test_interrupted_write_keeps_previous_file(tmp_path, monkeypatch, kind, failing):
+    """A write that raises part-way leaves the old bytes and no temp file behind."""
+    WRITERS[kind](tmp_path, 0)
+    before = _files(tmp_path)
+
+    def open_failing(path, mode):
+        return _FailsPartWay(path, mode) if failing in path.name else open(path, mode)
+
+    monkeypatch.setattr(sidecar, "open", open_failing, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        WRITERS[kind](tmp_path, 1)
+    assert _files(tmp_path) == before
 
 
 # ---------------------------------------------------------------------------

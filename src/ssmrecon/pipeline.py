@@ -168,11 +168,37 @@ def cmd_slice(cfg: PipelineConfig) -> list[Path]:
     return _parallel_map(slice_one, ids)
 
 
+def _checked_stack(cfg: PipelineConfig, path: Path) -> MaskStack:
+    """The mask stack at ``path``; one cut with another protocol than the dataset's is a data error.
+
+    Its mask count, resolution, spacing and origin must be those the protocol
+    gives, and its plane offsets and window the dataset's where the manifest
+    records them (every stack the toolkit writes does).
+    """
+    stack, manifest = load_mask_stack(path)
+    protocol = _protocol(cfg)
+    offsets, window = list(protocol.offsets), protocol.window.as_dict()
+    for field, found, expected in (
+        ("mask count", len(stack.masks), len(protocol.offsets)),
+        ("resolution", stack.resolution, protocol.resolution),
+        ("spacing", stack.spacing, protocol.spacing),
+        ("origin", stack.origin, protocol.origin),
+        ("plane_offsets", manifest.get("plane_offsets", offsets), offsets),
+        ("window", manifest.get("window", window), window),
+    ):
+        if found != expected:
+            raise DataError(
+                f"mask stack {path}: {field} {found!r} is not the dataset's {expected!r} "
+                f"(cut with another slicing protocol; run slice again)"
+            )
+    return stack
+
+
 def _load_stack(cfg: PipelineConfig, sid: str) -> MaskStack:
     manifest = cfg.masks_dir / sid / "stack.json"
     if not manifest.exists():
         raise DataError(f"mask stack not found: {manifest} (run slice first)")
-    return load_mask_stack(manifest)[0]
+    return _checked_stack(cfg, manifest)
 
 
 def cmd_train(cfg: PipelineConfig) -> Path:
@@ -232,7 +258,7 @@ def cmd_reconstruct(cfg: PipelineConfig, subject: str | None = None, stack_path=
     if subject is not None:
         stack = _load_stack(cfg, subject)
     else:
-        stack = load_mask_stack(stack_path)[0]
+        stack = _checked_stack(cfg, Path(stack_path))
         subject = Path(stack_path).resolve().parent.name
     space = shape_space.load_ssm(cfg.ssm_stem)
     params = regressor.load_weights(cfg.weights_stem)
@@ -290,6 +316,8 @@ def cmd_evaluate(cfg: PipelineConfig) -> tuple[Path, Path]:
     truth = [r["volume_truth_cm3"] for r in rows]
     pred = [r["volume_predicted_cm3"] for r in rows]
     base = [r["volume_baseline_cm3"] for r in rows]
+    paired = stats.paired_t_test(truth, pred)
+    paired_baseline = stats.paired_t_test(truth, base)
 
     report = {
         "format_version": 1,
@@ -298,8 +326,8 @@ def cmd_evaluate(cfg: PipelineConfig) -> tuple[Path, Path]:
         "aggregate": {
             "rmse_cm3": metrics.rmse(pred, truth),
             "rmse_baseline_cm3": metrics.rmse(base, truth),
-            "paired_test": stats.paired_t_test(truth, pred).as_dict(),
-            "paired_test_baseline": stats.paired_t_test(truth, base).as_dict(),
+            "paired_test": paired.as_dict(),
+            "paired_test_baseline": paired_baseline.as_dict(),
             "summary": {
                 "truth": _moments(truth),
                 "predicted": _moments(pred),
@@ -310,7 +338,8 @@ def cmd_evaluate(cfg: PipelineConfig) -> tuple[Path, Path]:
     json_path = cfg.output_dir / "evaluation.json"
     sidecar.write(json_path, (json.dumps(report, sort_keys=True, indent=1) + "\n").encode("utf-8"))
     text_path = cfg.output_dir / "evaluation.txt"
-    sidecar.write(text_path, _report_text(report).encode("utf-8"))
+    tests = (("truth & predicted", paired), ("truth & baseline", paired_baseline))
+    sidecar.write(text_path, _report_text(report, tests).encode("utf-8"))
     return json_path, text_path
 
 
@@ -319,30 +348,19 @@ def _moments(values) -> dict:
     return {"mean": mean, "std": std}
 
 
-def _report_text(report: dict) -> str:
+def _report_text(report: dict, tests) -> str:
+    """The fixed-column table of ``report``, with one row per ``(label, PairedTestReport)``."""
     agg = report["aggregate"]
-    lines = []
-    lines.append(f"test subjects: {report['n_test']}")
-    lines.append(
-        f"RMSE (cm^3): predicted {agg['rmse_cm3']:.1f}, baseline {agg['rmse_baseline_cm3']:.1f}"
-    )
-    lines.append("")
-    lines.append(stats.PairedTestReport.text_header())
-    for label, test_key in (
-        ("truth & predicted", "paired_test"),
-        ("truth & baseline", "paired_test_baseline"),
-    ):
-        t = agg[test_key]
-        row = stats.PairedTestReport(
-            t["n"], t["mean_diff"], t["std_diff"], t["sem"],
-            (t["ci95_lower"], t["ci95_upper"]), t["t"], t["df"], t["p"],
-        )
-        lines.append(row.text_row(label))
-    lines.append("")
-    lines.append(
+    lines = [
+        f"test subjects: {report['n_test']}",
+        f"RMSE (cm^3): predicted {agg['rmse_cm3']:.1f}, baseline {agg['rmse_baseline_cm3']:.1f}",
+        "",
+        stats.PairedTestReport.text_header(),
+        *(test.text_row(label) for label, test in tests),
+        "",
         f"{'subject':<8} {'truth':>9} {'pred':>9} {'base':>9} "
-        f"{'CD':>8} {'MSD':>8} {'CD.base':>8} {'MSD.base':>8}"
-    )
+        f"{'CD':>8} {'MSD':>8} {'CD.base':>8} {'MSD.base':>8}",
+    ]
     for r in report["subjects"]:
         lines.append(
             f"{r['subject']:<8} {r['volume_truth_cm3']:>9.1f} {r['volume_predicted_cm3']:>9.1f} "
@@ -356,31 +374,14 @@ def _report_text(report: dict) -> str:
 # ---------------------------------------------------------------------------
 # Reference arithmetic vectors for the paired-test report
 
-
+# (label, (mean_diff, std_diff, n), ((field, reference, tolerance), ...)); a field
+# with no tolerance must lie below its reference.
 STATS_VECTORS = (
-    {
-        "label": "pair-1",
-        "mean_diff": -201.5,
-        "std_diff": 234.8,
-        "n": 35,
-        "sem": 39.7,
-        "t": -5.1,
-        "ci95": (-282.1, -120.8),
-        "p_below": 0.001,
-    },
-    {
-        "label": "pair-2",
-        "mean_diff": 78.1,
-        "std_diff": 268.4,
-        "n": 35,
-        "sem": 45.4,
-        "t": 1.7,
-        "ci95": (-14.1, 170.3),
-        "p": 0.094,
-    },
+    ("pair-1", (-201.5, 234.8, 35),
+     (("sem", 39.7, 0.05), ("t", -5.1, 0.05), ("ci_lo", -282.1, 0.15), ("ci_hi", -120.8, 0.15), ("p", 0.001, None))),
+    ("pair-2", (78.1, 268.4, 35),
+     (("sem", 45.4, 0.05), ("t", 1.7, 0.05), ("ci_lo", -14.1, 0.15), ("ci_hi", 170.3, 0.15), ("p", 0.094, 0.002))),
 )
-
-_TOL = {"sem": 0.05, "t": 0.05, "ci": 0.15, "p": 0.002}
 
 
 def check_stats_vectors() -> tuple[bool, str]:
@@ -388,33 +389,20 @@ def check_stats_vectors() -> tuple[bool, str]:
 
     Returns (all_ok, printable table of computed vs reference values).
     """
-    lines = [
-        f"{'pair':<8} {'field':<6} {'computed':>12} {'reference':>12} {'tol':>8} {'status':>7}"
-    ]
+    lines = [f"{'pair':<8} {'field':<6} {'computed':>12} {'reference':>12} {'tol':>8} {'status':>7}"]
     all_ok = True
-
-    def check(label, field, computed, reference, tol):
-        nonlocal all_ok
-        ok = abs(computed - reference) <= tol
-        all_ok &= ok
-        lines.append(
-            f"{label:<8} {field:<6} {computed:>12.4f} {reference:>12.4f} {tol:>8.3f} "
-            f"{'pass' if ok else 'FAIL':>7}"
-        )
-
-    for vec in STATS_VECTORS:
-        report = stats.report_from_moments(vec["mean_diff"], vec["std_diff"], vec["n"])
-        check(vec["label"], "sem", report.sem, vec["sem"], _TOL["sem"])
-        check(vec["label"], "t", report.t, vec["t"], _TOL["t"])
-        check(vec["label"], "ci_lo", report.ci95[0], vec["ci95"][0], _TOL["ci"])
-        check(vec["label"], "ci_hi", report.ci95[1], vec["ci95"][1], _TOL["ci"])
-        if "p" in vec:
-            check(vec["label"], "p", report.p, vec["p"], _TOL["p"])
-        else:
-            ok = report.p < vec["p_below"]
+    for label, moments, fields in STATS_VECTORS:
+        report = stats.report_from_moments(*moments)
+        computed = dict(zip(("sem", "t", "ci_lo", "ci_hi", "p"), (report.sem, report.t, *report.ci95, report.p)))
+        for field, reference, tol in fields:
+            value = computed[field]
+            if tol is None:
+                ok = value < reference
+                cells = (f"{value:.6f}", f"<{reference}", "")
+            else:
+                ok = abs(value - reference) <= tol
+                cells = (f"{value:.4f}", f"{reference:.4f}", f"{tol:.3f}")
             all_ok &= ok
-            lines.append(
-                f"{vec['label']:<8} {'p':<6} {report.p:>12.6f} {'<' + str(vec['p_below']):>12} "
-                f"{'':>8} {'pass' if ok else 'FAIL':>7}"
-            )
+            status = "pass" if ok else "FAIL"
+            lines.append(f"{label:<8} {field:<6} {cells[0]:>12} {cells[1]:>12} {cells[2]:>8} {status:>7}")
     return all_ok, "\n".join(lines)

@@ -19,6 +19,7 @@ from .mesh import TriMesh, validate_closed
 from .spatial import SurfaceIndex
 
 _DEGENERATE_RTOL = 1e-12
+_GPA_MAX_ROUNDS = 50  # generalized Procrustes rounds before the mean shape must have settled
 
 # Held while a template's smoothing system is factored, so that fits sharing a template on
 # different threads factor it once between them.
@@ -295,11 +296,11 @@ def nonrigid_fit(
 # Generalized Procrustes
 
 
-def generalized_procrustes(population: list[TriMesh], max_rounds: int = 50) -> list[TriMesh]:
+def generalized_procrustes(population: list[TriMesh]) -> list[TriMesh]:
     """Rigidly align a same-topology population to its evolving mean shape.
 
     Output meshes all have centroid at the origin. Iterates until the mean
-    shape moves less than 1e-6 mm between rounds.
+    shape moves less than 1e-6 mm between rounds, for at most ``_GPA_MAX_ROUNDS`` rounds.
     """
     if len(population) < 2:
         raise DataError("need at least 2 meshes")
@@ -309,7 +310,7 @@ def generalized_procrustes(population: list[TriMesh], max_rounds: int = 50) -> l
             raise DataError("population topology mismatch")
 
     stacks = [m.vertices - m.vertices.mean(axis=0) for m in population]
-    for _ in range(max_rounds):
+    for _ in range(_GPA_MAX_ROUNDS):
         mean = np.mean(stacks, axis=0)
         new_stacks = [rigid_align(v, mean).apply(v) for v in stacks]
         change = float(np.abs(np.mean(new_stacks, axis=0) - mean).max())

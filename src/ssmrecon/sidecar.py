@@ -9,7 +9,10 @@ Every file the toolkit writes goes through `write` or `save`: each writer
 fills a temp file of its own next to the target and renames it into place,
 so a crash never leaves a torn file, two writers of one path leave one
 writer's complete bytes, and a process still mapping the old payload keeps
-reading the old bytes. The payload is read through one read-only memory
+reading the old bytes. `save` holds one lock across its two renames, so
+within a process the last writer of a stem wins both files; two processes
+saving one stem at once can still leave a pair from different writers,
+which `load` rejects when their sizes differ. The payload is read through one read-only memory
 map; loaded arrays are views into it, not copies. `read_manifest` reads
 these manifests and the toolkit's other JSON manifests alike.
 """
@@ -19,6 +22,7 @@ import json
 import math
 import os
 import re
+import threading
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -29,6 +33,7 @@ from .errors import DataError
 FORMAT_VERSION = 1
 _DTYPE = "<f8"
 _ITEM = 8
+_SAVE_LOCK = threading.Lock()  # one `save` at a time, so the last writer of a stem wins both files
 
 
 def _paths(path, kind: str) -> tuple[Path, Path]:
@@ -88,10 +93,11 @@ def save(path, kind: str, header: dict, arrays: list[tuple[str, np.ndarray]]) ->
         offsets[name] = {"offset": cursor, "count": int(arr.size)}
         cursor += _ITEM * arr.size
     manifest = {"format_version": FORMAT_VERSION, **header, "payload": offsets, "dtype": _DTYPE}
-    with _replacing(payload_path) as fh:
-        for _, arr in arrays:
-            np.ascontiguousarray(arr, dtype=_DTYPE).tofile(fh)
-    write(manifest_path, json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8"))
+    with _SAVE_LOCK:
+        with _replacing(payload_path) as fh:
+            for _, arr in arrays:
+                np.ascontiguousarray(arr, dtype=_DTYPE).tofile(fh)
+        write(manifest_path, json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8"))
     return manifest_path, payload_path
 
 

@@ -102,6 +102,16 @@ class SliceProtocol:
     def __post_init__(self):
         object.__setattr__(self, "offsets", check_protocol(self.offsets, self.resolution))
 
+    @property
+    def spacing(self) -> tuple:
+        """(mm/px in y, mm/px in z) of every mask cut with this protocol."""
+        return tuple(float(v) for v in self.window.extent[1:] / self.resolution)
+
+    @property
+    def origin(self) -> tuple:
+        """The window's (y, z) minimum corner, mm: where pixel (0, 0) sits."""
+        return tuple(float(v) for v in self.window.lo[1:])
+
 
 @dataclass(frozen=True)
 class MaskStack:
@@ -263,8 +273,7 @@ def make_mask_stack(mesh: TriMesh, protocol: SliceProtocol) -> MaskStack:
     for off in protocol.offsets:
         loops = cross_section(mesh, win.plane_at(off))
         masks.append(rasterize(loops, window_2d, r))
-    spacing = ((win.hi[1] - win.lo[1]) / r, (win.hi[2] - win.lo[2]) / r)
-    return MaskStack(tuple(masks), spacing, (float(win.lo[1]), float(win.lo[2])))
+    return MaskStack(tuple(masks), protocol.spacing, protocol.origin)
 
 
 # ---------------------------------------------------------------------------

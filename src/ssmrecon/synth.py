@@ -28,11 +28,10 @@ _MAX_RETRIES = 10
 class SynthConfig:
     n: int = 20
     seed: int = 0
-    base_subdivision: int = 3
     mode_count: int = 6
     amplitude: float = 0.10
     volume_range: tuple = (800.0, 1600.0)
-    jitter_levels: tuple = None  # subdivision levels drawn per subject; None = base only
+    jitter_levels: tuple = (3,)  # subdivision levels drawn per subject
 
     def __post_init__(self):
         if self.n < 2:
@@ -42,11 +41,10 @@ class SynthConfig:
         lo, hi = self.volume_range
         if not (0.0 < lo < hi):
             raise DataError("volume range must be positive and increasing")
-        levels = self.jitter_levels if self.jitter_levels is not None else (self.base_subdivision,)
-        if not levels:
+        if not self.jitter_levels:
             raise DataError("jitter level set must be non-empty")
         object.__setattr__(self, "volume_range", (float(lo), float(hi)))
-        object.__setattr__(self, "jitter_levels", tuple(int(v) for v in levels))
+        object.__setattr__(self, "jitter_levels", tuple(int(v) for v in self.jitter_levels))
 
 
 def _radial_modes(rng: np.random.Generator, count: int, amplitude: float, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from ssmrecon import pipeline, regressor, sidecar
+from ssmrecon import pipeline, regressor, sidecar, stats
 from ssmrecon.cli import main
 from ssmrecon.config import load_config
 from ssmrecon.errors import DataError
@@ -33,7 +34,6 @@ SMALL_DOC = {
         "seed": 5,
         "volume_range": [900, 1500],
         "jitter_levels": [2, 3],
-        "base_subdivision": 2,
     },
     "ssm": {"components": 4},
     "slicer": {"offsets": [0.35, 0.5, 0.65], "resolution": 48},
@@ -162,6 +162,17 @@ def test_report_has_baseline_row(small_run):
     assert "truth & baseline" in text_path.read_text()
 
 
+def test_report_text_rows_are_the_paired_tests(small_run):
+    _, _, json_path, text_path = small_run
+    subjects = json.loads(json_path.read_text())["subjects"]
+    truth, pred, base = ([r[f"volume_{k}_cm3"] for r in subjects] for k in ("truth", "predicted", "baseline"))
+    assert text_path.read_text().splitlines()[3:6] == [
+        stats.PairedTestReport.text_header(),
+        stats.paired_t_test(truth, pred).text_row("truth & predicted"),
+        stats.paired_t_test(truth, base).text_row("truth & baseline"),
+    ]
+
+
 def test_report_per_subject_count(small_run):
     _, cfg, json_path, _ = small_run
     doc = json.loads(json_path.read_text())
@@ -231,6 +242,35 @@ def test_reconstruct_by_subject_and_stack_agree(small_run):
     assert bytes_a == path_c.read_bytes()
 
 
+def test_stacks_sliced_before_a_new_window_are_data_errors(small_run, tmp_path, capsys):
+    """A new split seed moves the dataset window once build-ssm reruns; the old stacks fail."""
+    root = shutil.copytree(small_run[0], tmp_path / "run")
+    cfg_path = make_config(root, {"split": {"seed": 2}})
+    old_window = pipeline._load_window(load_config(cfg_path)).as_dict()
+    assert main(["build-ssm", "--config", str(cfg_path)]) == 0
+    assert pipeline._load_window(load_config(cfg_path)).as_dict() != old_window
+    for command, *rest in (["train"], ["reconstruct", "--subject", "s000"]):
+        assert main([command, "--config", str(cfg_path), *rest]) == 2, command
+        err = capsys.readouterr().err
+        assert "stack.json: " in err and "run slice again" in err, err
+    assert f"mask stack {root / 'out' / 'masks' / 's000' / 'stack.json'}: " in err
+
+
+def test_stack_checked_against_the_protocol(small_run, tmp_path, capsys):
+    root = shutil.copytree(small_run[0], tmp_path / "run")
+    cfg_path = root / "config.json"
+    path = root / "out" / "masks" / "s000" / "stack.json"
+    doc = json.loads(path.read_text())
+    argv = ["reconstruct", "--config", str(cfg_path), "--stack", str(path)]
+    # a stack made elsewhere need not record its offsets and window
+    path.write_text(json.dumps({k: v for k, v in doc.items() if k not in ("plane_offsets", "window")}))
+    assert main(argv) == 0
+    path.write_text(json.dumps({**doc, "spacing": [2 * v for v in doc["spacing"]]}))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"mask stack {path}: spacing " in err and "run slice again" in err
+
+
 def test_reconstruct_missing_weights_names_path(small_run):
     tmp, _, _, _ = small_run
     cfg = load_config(
@@ -289,10 +329,40 @@ def test_inward_prediction_is_numerical_error(small_run, tmp_path, capsys):
 # CLI surface
 
 
+STATS_VECTORS_OUT = """\
+pair     field      computed    reference      tol  status
+pair-1   sem         39.6884      39.7000    0.050    pass
+pair-1   t           -5.0770      -5.1000    0.050    pass
+pair-1   ci_lo     -282.1566    -282.1000    0.150    pass
+pair-1   ci_hi     -120.8434    -120.8000    0.150    pass
+pair-1   p          0.000014       <0.001             pass
+pair-2   sem         45.3679      45.4000    0.050    pass
+pair-2   t            1.7215       1.7000    0.050    pass
+pair-2   ci_lo      -14.0986     -14.1000    0.150    pass
+pair-2   ci_hi      170.2986     170.3000    0.150    pass
+pair-2   p            0.0943       0.0940    0.002    pass
+all vectors pass
+"""
+
+
 def test_cli_stats_vectors_exit_zero(capsys):
     assert main(["stats-vectors"]) == 0
-    out = capsys.readouterr().out
-    assert "pass" in out and "FAIL" not in out
+    assert capsys.readouterr().out == STATS_VECTORS_OUT
+
+
+def test_cli_stats_vectors_fails_on_a_shifted_t(monkeypatch, capsys):
+    report_from_moments = stats.report_from_moments
+
+    def shifted(*args):
+        report = report_from_moments(*args)
+        return dataclasses.replace(report, t=report.t + 0.1)
+
+    monkeypatch.setattr(stats, "report_from_moments", shifted)
+    assert main(["stats-vectors"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line.split()[:2] for line in lines if line.endswith("FAIL")]
+    assert failed == [["pair-1", "t"], ["pair-2", "t"]]
+    assert lines[-1] == "vector check FAILED"
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):

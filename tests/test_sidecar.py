@@ -1,6 +1,7 @@
 """The shared manifest + sidecar I/O, and the mesh and query fast paths."""
 import errno
 import io
+import os
 import re
 import threading
 import tracemalloc
@@ -162,6 +163,43 @@ def test_concurrent_writers_leave_one_writers_complete_file(tmp_path, kind):
         assert set(got) == set(variants[0]), (round_, sorted(got))
         for name, data in got.items():
             assert data in (variants[0][name], variants[1][name]), (round_, name)
+
+
+def test_concurrent_model_saves_leave_one_writers_pair(tmp_path, monkeypatch):
+    """The last writer of a stem wins both files.
+
+    Once the wide model's payload is in place, its save waits (up to 50 ms) for
+    the narrow model's whole save, so two renames that are not held as one leave
+    the narrow payload under the wide manifest.
+    """
+    narrow, wide = init_params(20, 6, 4, seed=0), init_params(20, 10, 4, seed=1)
+    wide_payload_in, narrow_saved = threading.Event(), threading.Event()
+    replace = os.replace
+
+    def replace_then_wait(src, dst):
+        replace(src, dst)
+        if threading.current_thread().name == "wide" and str(dst).endswith(".bin"):
+            wide_payload_in.set()
+            narrow_saved.wait(0.05)
+
+    monkeypatch.setattr(os, "replace", replace_then_wait)
+
+    def save_narrow():
+        wide_payload_in.wait(5.0)
+        save_weights(narrow, tmp_path / "net")
+        narrow_saved.set()
+
+    threads = [
+        threading.Thread(target=save_weights, args=(wide, tmp_path / "net"), name="wide"),
+        threading.Thread(target=save_narrow),
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(10.0)
+        assert not t.is_alive()
+    for got, want in zip(_fields(load_weights(tmp_path / "net")), _fields(narrow)):
+        assert np.array_equal(got, want)
 
 
 class _FailsPartWay(io.FileIO):

@@ -18,7 +18,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 
 TINY_DOC = {
-    "synth": {"n": 6, "seed": 5, "volume_range": [900, 1500], "jitter_levels": [2, 3], "base_subdivision": 2},
+    "synth": {"n": 6, "seed": 5, "volume_range": [900, 1500], "jitter_levels": [2, 3]},
     "ssm": {"components": 4},
     "slicer": {"offsets": [0.35, 0.5, 0.65], "resolution": 32},
     "train": {"epochs": 10, "batch_size": 4, "patience": 0, "seed": 3, "hidden": 8},

@@ -132,6 +132,9 @@ def _build_section(name: str, cls, payload: dict):
             allowed = (int, float) if kind is float else kind
             if not isinstance(value, allowed) or (isinstance(value, bool) and kind is not bool):
                 raise ConfigError(f"bad value in section {name!r}: {key} must be {kind.__name__}, got {value!r}")
+            # every integer key is a count, a size or a seed
+            if kind is int and value < 0:
+                raise ConfigError(f"bad value in section {name!r}: {key} must not be negative, got {value!r}")
         if isinstance(value, list):
             value = tuple(value)
         converted[key] = value

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -142,9 +141,7 @@ def cmd_build_ssm(cfg: PipelineConfig) -> Path:
     space = shape_space.build_ssm(aligned, n_components)
     manifest_path, _ = shape_space.save_ssm(space, cfg.ssm_stem)
 
-    window = window_for_population(meshes)
-    window_doc = {"format_version": 1, "window": window.as_dict()}
-    sidecar.write(_window_path(cfg), (json.dumps(window_doc, sort_keys=True, indent=1) + "\n").encode("utf-8"))
+    sidecar.write_json(_window_path(cfg), {"window": window_for_population(meshes).as_dict()})
 
     reg_dir = _registered_dir(cfg)
     for sid, mesh in zip(train, aligned):
@@ -275,12 +272,15 @@ def cmd_evaluate(cfg: PipelineConfig) -> tuple[Path, Path]:
     Every report carries a zero-parameter mean-shape baseline row, which
     anchors whether the regressor learnt anything beyond the population mean.
     """
+    train_ids, test_ids = split_ids(cfg)
+    if len(test_ids) < 2:
+        raise DataError(
+            f"test split has {len(test_ids)} of {len(train_ids) + len(test_ids)} subjects, evaluate needs "
+            f"at least 2 (split.train_fraction {cfg.split.train_fraction})"
+        )
     space = shape_space.load_ssm(cfg.ssm_stem)
     params = regressor.load_weights(cfg.weights_stem)
     manifest = synth.load_population_manifest(cfg.population_dir)
-    _, test_ids = split_ids(cfg)
-    if not test_ids:
-        raise DataError("test split is empty")
     truth_volumes = {sid: _truth_volume(cfg, manifest, sid) for sid in test_ids}
     baseline_mesh = space.mean_mesh()
     baseline_volume = signed_volume(baseline_mesh)
@@ -320,7 +320,6 @@ def cmd_evaluate(cfg: PipelineConfig) -> tuple[Path, Path]:
     paired_baseline = stats.paired_t_test(truth, base)
 
     report = {
-        "format_version": 1,
         "n_test": len(rows),
         "subjects": rows,
         "aggregate": {
@@ -336,7 +335,7 @@ def cmd_evaluate(cfg: PipelineConfig) -> tuple[Path, Path]:
         },
     }
     json_path = cfg.output_dir / "evaluation.json"
-    sidecar.write(json_path, (json.dumps(report, sort_keys=True, indent=1) + "\n").encode("utf-8"))
+    sidecar.write_json(json_path, report)
     text_path = cfg.output_dir / "evaluation.txt"
     tests = (("truth & predicted", paired), ("truth & baseline", paired_baseline))
     sidecar.write(text_path, _report_text(report, tests).encode("utf-8"))
@@ -344,7 +343,7 @@ def cmd_evaluate(cfg: PipelineConfig) -> tuple[Path, Path]:
 
 
 def _moments(values) -> dict:
-    mean, std = stats.summary(values) if len(values) > 1 else (float(values[0]), 0.0)
+    mean, std = stats.summary(values)
     return {"mean": mean, "std": std}
 
 

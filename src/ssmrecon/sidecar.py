@@ -5,6 +5,9 @@ Shape spaces (``<stem>.ssm.json`` / ``.ssm.bin``) and regressor weights
 ``format_version``, the owner's header fields, ``dtype`` and, under
 ``payload``, the byte offset and value count of each array in the sidecar.
 
+Every JSON file the toolkit writes is stamped with ``format_version`` by
+`write_json`, and `read_manifest`, which reads them all back, rejects any
+other version.
 Every file the toolkit writes goes through `write` or `save`: each writer
 fills a temp file of its own next to the target and renames it into place,
 so a crash never leaves a torn file, two writers of one path leave one
@@ -13,8 +16,7 @@ reading the old bytes. `save` holds one lock across its two renames, so
 within a process the last writer of a stem wins both files; two processes
 saving one stem at once can still leave a pair from different writers,
 which `load` rejects when their sizes differ. The payload is read through one read-only memory
-map; loaded arrays are views into it, not copies. `read_manifest` reads
-these manifests and the toolkit's other JSON manifests alike.
+map; loaded arrays are views into it, not copies.
 """
 from __future__ import annotations
 
@@ -66,11 +68,18 @@ def write(path, data: bytes) -> None:
         fh.write(data)
 
 
-def read_manifest(path, label: str, keys=()) -> dict:
-    """The JSON object in ``path``, which must hold each of ``keys``.
+def write_json(path, doc: dict) -> None:
+    """Replace the file at ``path`` with ``doc`` plus ``format_version``, as sorted compact UTF-8 JSON."""
+    stamped = {**doc, "format_version": FORMAT_VERSION}
+    write(path, json.dumps(stamped, sort_keys=True, separators=(",", ":")).encode("utf-8"))
 
-    A file that cannot be read, is not UTF-8, is not JSON or lacks a key
-    raises DataError naming the ``label``, the file and the key.
+
+def read_manifest(path, label: str, keys=()) -> dict:
+    """The JSON object in ``path``, of this ``format_version`` and holding each of ``keys``.
+
+    A file that cannot be read, is not UTF-8, is not JSON, has another
+    ``format_version`` or lacks a key raises DataError naming the ``label``,
+    the file and the version or key.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -78,6 +87,10 @@ def read_manifest(path, label: str, keys=()) -> dict:
         raise DataError(f"cannot read {label} {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise DataError(f"{label} {path} is not a JSON object")
+    if doc.get("format_version") != FORMAT_VERSION:
+        raise DataError(
+            f"{label} {path} has format_version {doc.get('format_version')!r}, expected {FORMAT_VERSION}"
+        )
     for key in keys:
         if key not in doc:
             raise DataError(f"{label} {path} has no {key!r} key")
@@ -92,12 +105,11 @@ def save(path, kind: str, header: dict, arrays: list[tuple[str, np.ndarray]]) ->
     for name, arr in arrays:
         offsets[name] = {"offset": cursor, "count": int(arr.size)}
         cursor += _ITEM * arr.size
-    manifest = {"format_version": FORMAT_VERSION, **header, "payload": offsets, "dtype": _DTYPE}
     with _SAVE_LOCK:
         with _replacing(payload_path) as fh:
             for _, arr in arrays:
                 np.ascontiguousarray(arr, dtype=_DTYPE).tofile(fh)
-        write(manifest_path, json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8"))
+        write_json(manifest_path, {**header, "payload": offsets, "dtype": _DTYPE})
     return manifest_path, payload_path
 
 
@@ -112,11 +124,6 @@ def load(path, kind: str, label: str, shapes, keys=()) -> tuple[dict, dict[str, 
     """
     manifest_path, payload_path = _paths(path, kind)
     manifest = read_manifest(manifest_path, f"{label} manifest", keys)
-    if manifest.get("format_version") != FORMAT_VERSION:
-        raise DataError(
-            f"unsupported {label} format_version {manifest.get('format_version')!r} "
-            f"(expected {FORMAT_VERSION})"
-        )
     try:
         expected = shapes(manifest)
         payload = manifest["payload"]

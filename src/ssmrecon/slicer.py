@@ -8,7 +8,6 @@ through the same files.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -322,7 +321,6 @@ def save_mask_stack(stack: MaskStack, directory, plane_offsets, window: Window) 
         save_mask(mask, directory / name)
         members.append(name)
     manifest = {
-        "format_version": 1,
         "members": members,
         "plane_offsets": [float(o) for o in plane_offsets],
         "window": window.as_dict(),
@@ -330,7 +328,7 @@ def save_mask_stack(stack: MaskStack, directory, plane_offsets, window: Window) 
         "origin": [stack.origin[0], stack.origin[1]],
     }
     manifest_path = directory / "stack.json"
-    sidecar.write(manifest_path, json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8"))
+    sidecar.write_json(manifest_path, manifest)
     return manifest_path
 
 
@@ -338,8 +336,6 @@ def load_mask_stack(manifest_path) -> tuple[MaskStack, dict]:
     """Read a stack manifest; returns (stack, manifest dict)."""
     manifest_path = Path(manifest_path)
     manifest = sidecar.read_manifest(manifest_path, "stack manifest", ("members", "spacing", "origin"))
-    if manifest.get("format_version") != 1:
-        raise DataError(f"{manifest_path}: unsupported stack format_version")
     masks = [load_mask(manifest_path.parent / name) for name in manifest["members"]]
     stack = MaskStack(tuple(masks), tuple(manifest["spacing"]), tuple(manifest["origin"]))
     return stack, manifest

@@ -9,7 +9,6 @@ varies per subject so downstream registration is genuinely exercised.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -121,13 +120,8 @@ def write_population(meshes: list[TriMesh], volumes: list[float], cfg: SynthConf
         sid = subject_id(i)
         save_mesh(mesh, directory / f"{sid}.obj")
         subjects[sid] = {"volume_cm3": vol, "seed": cfg.seed + i}
-    manifest = {
-        "format_version": 1,
-        "seed": cfg.seed,
-        "subjects": subjects,
-    }
     manifest_path = directory / "population.json"
-    sidecar.write(manifest_path, json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8"))
+    sidecar.write_json(manifest_path, {"seed": cfg.seed, "subjects": subjects})
     return manifest_path
 
 

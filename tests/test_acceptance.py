@@ -5,6 +5,7 @@ share one 60-subject pipeline run; repeat runs land in separate directories
 so determinism can be checked byte for byte.
 """
 import hashlib
+import importlib.util
 import json
 import time
 from pathlib import Path
@@ -58,6 +59,17 @@ PIPELINE_DOC = {
     },
     "split": {"train_fraction": 0.75, "seed": 11},
 }
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def test_pipeline_doc_is_the_benchmark_acceptance_config():
+    """The benchmark's ``ACCEPTANCE`` workload and ``PIPELINE_DOC`` stay one config."""
+    spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    assert PIPELINE_DOC == workloads.ACCEPTANCE
 
 
 def run_pipeline(root: Path, overrides=None) -> dict:

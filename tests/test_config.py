@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ssmrecon.cli import main
 from ssmrecon.config import load_config
 from ssmrecon.errors import ConfigError
 
@@ -97,3 +98,24 @@ def test_bad_slicer_offsets_rejected_at_load(tmp_path, offsets):
 def test_value_of_wrong_type_rejected_at_load(tmp_path, section, key, value):
     with pytest.raises(ConfigError, match=f"{section}.*{key}"):
         load_config(write_config(tmp_path, {section: {key: value}}))
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        ("synth", "seed"),
+        ("synth", "mode_count"),
+        ("split", "seed"),
+        ("train", "hidden"),
+        ("train", "seed"),
+        ("train", "patience"),
+        ("evaluate", "seed"),
+    ],
+)
+def test_negative_integer_rejected_at_load(tmp_path, capsys, section, key):
+    path = write_config(tmp_path, {section: {key: -1}})
+    with pytest.raises(ConfigError, match=f"{section}.*{key} must not be negative"):
+        load_config(path)
+    assert main(["synth", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "Traceback" not in err

@@ -511,6 +511,40 @@ def test_manifest_without_key_is_data_error(small_run, tmp_path, capsys, name, k
     assert f"{path.name} has no {key!r} key" in err
 
 
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("population/population.json", ["build-ssm"]),
+        ("out/model.window.json", ["slice"]),
+        ("out/masks/s000/stack.json", ["reconstruct", "--stack"]),
+        ("out/model.ssm.json", ["reconstruct", "--subject", "s000"]),
+        ("out/weights.mlp.json", ["reconstruct", "--subject", "s000"]),
+    ],
+    ids=["population", "window", "stack", "shape-space", "weights"],
+)
+def test_manifest_of_another_format_version_is_data_error(small_run, tmp_path, capsys, name, args):
+    root = shutil.copytree(small_run[0], tmp_path / "run")
+    path = root / name
+    doc = json.loads(path.read_text())
+    doc["format_version"] = 2
+    path.write_text(json.dumps(doc))
+    command, *rest = args
+    if rest == ["--stack"]:
+        rest.append(str(path))
+    assert main([command, "--config", str(root / "config.json"), *rest]) == 2
+    err = capsys.readouterr().err
+    assert f"{path.name} has format_version 2, expected 1" in err
+
+
+def test_one_subject_test_split_fails_before_scoring(tmp_path, capsys):
+    cfg_path = make_config(tmp_path, {"synth": {"n": 4}})
+    assert main(["synth", "--config", str(cfg_path)]) == 0
+    assert main(["evaluate", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "test split has 1 of 4 subjects, evaluate needs at least 2 (split.train_fraction 0.75)" in err
+    assert not (tmp_path / "out" / "evaluation.json").exists()
+
+
 def test_window_without_corner_is_data_error(small_run, tmp_path):
     root = shutil.copytree(small_run[0], tmp_path / "run")
     path = root / "out" / "model.window.json"

@@ -63,7 +63,6 @@ class SplitSection:
 class EvaluateSection:
     samples: int = 10_000
     seed: int = 0
-    oracle_injection: bool = False  # substitute ground truth for predictions (self-test)
 
     def __post_init__(self):
         if self.samples < 1:
@@ -126,15 +125,20 @@ def _build_section(name: str, cls, payload: dict):
         raise ConfigError(f"unknown key(s) in section {name!r}: {', '.join(sorted(unknown))}")
     converted = {}
     for key, value in payload.items():
-        kind = type(defaults[key])
-        if kind in (bool, int, float, str):
-            # a value takes its default's type; an int may stand for a float, a bool for nothing else
+        default = defaults[key]
+        if isinstance(default, tuple) and isinstance(value, list):
+            kind, items = type(default[0]), value  # each element takes the type of the default's elements
+        else:
+            kind, items = type(default), [value]
+        if kind in (int, float, str):
+            # a value takes its default's type; an int may stand for a float, a bool for nothing
             allowed = (int, float) if kind is float else kind
-            if not isinstance(value, allowed) or (isinstance(value, bool) and kind is not bool):
-                raise ConfigError(f"bad value in section {name!r}: {key} must be {kind.__name__}, got {value!r}")
-            # every integer key is a count, a size or a seed
-            if kind is int and value < 0:
-                raise ConfigError(f"bad value in section {name!r}: {key} must not be negative, got {value!r}")
+            for item in items:
+                if not isinstance(item, allowed) or isinstance(item, bool):
+                    raise ConfigError(f"bad value in section {name!r}: {key} must be {kind.__name__}, got {item!r}")
+                # every integer is a count, a size, a level or a seed
+                if kind is int and item < 0:
+                    raise ConfigError(f"bad value in section {name!r}: {key} must not be negative, got {item!r}")
         if isinstance(value, list):
             value = tuple(value)
         converted[key] = value

@@ -160,42 +160,16 @@ def cmd_slice(cfg: PipelineConfig) -> list[Path]:
 
     def slice_one(sid: str) -> Path:
         stack = make_mask_stack(_subject_mesh(cfg, sid), protocol)
-        return save_mask_stack(stack, cfg.masks_dir / sid, protocol.offsets, protocol.window)
+        return save_mask_stack(stack, cfg.masks_dir / sid, protocol)
 
     return _parallel_map(slice_one, ids)
-
-
-def _checked_stack(cfg: PipelineConfig, path: Path) -> MaskStack:
-    """The mask stack at ``path``; one cut with another protocol than the dataset's is a data error.
-
-    Its mask count, resolution, spacing and origin must be those the protocol
-    gives, and its plane offsets and window the dataset's where the manifest
-    records them (every stack the toolkit writes does).
-    """
-    stack, manifest = load_mask_stack(path)
-    protocol = _protocol(cfg)
-    offsets, window = list(protocol.offsets), protocol.window.as_dict()
-    for field, found, expected in (
-        ("mask count", len(stack.masks), len(protocol.offsets)),
-        ("resolution", stack.resolution, protocol.resolution),
-        ("spacing", stack.spacing, protocol.spacing),
-        ("origin", stack.origin, protocol.origin),
-        ("plane_offsets", manifest.get("plane_offsets", offsets), offsets),
-        ("window", manifest.get("window", window), window),
-    ):
-        if found != expected:
-            raise DataError(
-                f"mask stack {path}: {field} {found!r} is not the dataset's {expected!r} "
-                f"(cut with another slicing protocol; run slice again)"
-            )
-    return stack
 
 
 def _load_stack(cfg: PipelineConfig, sid: str) -> MaskStack:
     manifest = cfg.masks_dir / sid / "stack.json"
     if not manifest.exists():
         raise DataError(f"mask stack not found: {manifest} (run slice first)")
-    return _checked_stack(cfg, manifest)
+    return load_mask_stack(manifest, _protocol(cfg))
 
 
 def cmd_train(cfg: PipelineConfig) -> Path:
@@ -235,17 +209,18 @@ def _truth_volume(cfg: PipelineConfig, manifest: dict, subject: str) -> float:
     return float(volume)
 
 
-def _predicted_volume(mesh: TriMesh, subject: str) -> float:
-    """Volume in cm^3 of a reconstruction; an inward-oriented one is a numerical failure.
+def _predict(space, params, stack: MaskStack, subject: str) -> tuple[TriMesh, float]:
+    """The shape space's mesh for the regressor's prediction from one mask stack, and its volume in cm^3.
 
     A predicted mesh shares the shape space's faces, which are outward-oriented
     on the mean shape, so a negative signed volume means the predicted
-    parameters turned the surface inside out.
+    parameters turned the surface inside out: a numerical failure.
     """
+    mesh = shape_space.reconstruct(space, regressor.forward(params, stack))
     raw = oriented_volume_mm3(mesh)
     if raw < 0:
         raise NumericalError(f"reconstruction of {subject} is inward-oriented (signed volume {raw:.6g} mm^3)")
-    return raw / MM3_PER_CM3
+    return mesh, raw / MM3_PER_CM3
 
 
 def cmd_reconstruct(cfg: PipelineConfig, subject: str | None = None, stack_path=None) -> tuple[Path, float]:
@@ -255,12 +230,11 @@ def cmd_reconstruct(cfg: PipelineConfig, subject: str | None = None, stack_path=
     if subject is not None:
         stack = _load_stack(cfg, subject)
     else:
-        stack = _checked_stack(cfg, Path(stack_path))
+        stack = load_mask_stack(stack_path, _protocol(cfg))
         subject = Path(stack_path).resolve().parent.name
     space = shape_space.load_ssm(cfg.ssm_stem)
     params = regressor.load_weights(cfg.weights_stem)
-    mesh = shape_space.reconstruct(space, regressor.forward(params, stack))
-    volume = _predicted_volume(mesh, subject)
+    mesh, volume = _predict(space, params, stack, subject)
     out_path = cfg.output_dir / "recon" / f"{subject}.obj"
     save_mesh(mesh, out_path)
     return out_path, volume
@@ -289,21 +263,13 @@ def cmd_evaluate(cfg: PipelineConfig) -> tuple[Path, Path]:
     baseline = metrics.sampled_surface(baseline_mesh, n_samples, seed)
 
     def eval_one(sid: str) -> dict:
-        truth_mesh = _subject_mesh(cfg, sid)
-        truth = metrics.sampled_surface(truth_mesh, n_samples, seed)
-        truth_volume = truth_volumes[sid]
-        if cfg.evaluate.oracle_injection:
-            pred_mesh = truth_mesh
-            pred_volume = truth_volume
-        else:
-            alpha = regressor.forward(params, _load_stack(cfg, sid))
-            pred_mesh = shape_space.reconstruct(space, alpha)
-            pred_volume = _predicted_volume(pred_mesh, sid)
+        truth = metrics.sampled_surface(_subject_mesh(cfg, sid), n_samples, seed)
+        pred_mesh, pred_volume = _predict(space, params, _load_stack(cfg, sid), sid)
         pred = metrics.mesh_metrics(pred_mesh, truth, n_samples, seed)
         base = metrics.mesh_metrics(baseline, truth, n_samples, seed)
         return {
             "subject": sid,
-            "volume_truth_cm3": truth_volume,
+            "volume_truth_cm3": truth_volumes[sid],
             "volume_predicted_cm3": pred_volume,
             "volume_baseline_cm3": baseline_volume,
             "chamfer_mm": pred.chamfer_mm,

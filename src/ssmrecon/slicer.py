@@ -300,6 +300,8 @@ def load_mask(path) -> np.ndarray:
         w, h, maxval = int(parts[1]), int(parts[2]), int(parts[3])
     except ValueError as exc:
         raise DataError(f"{path}: malformed PGM header") from exc
+    if w < 1 or h < 1:
+        raise DataError(f"{path}: PGM width and height must be at least 1, got {w} x {h}")
     if maxval != 255:
         raise DataError(f"{path}: PGM maxval must be 255, got {maxval}")
     header_len = len(raw) - len(parts[4]) if len(parts) == 5 else len(raw)
@@ -312,8 +314,8 @@ def load_mask(path) -> np.ndarray:
     return (img == 255).astype(np.uint8)
 
 
-def save_mask_stack(stack: MaskStack, directory, plane_offsets, window: Window) -> Path:
-    """Write one PGM per mask plus a JSON manifest; returns the manifest path."""
+def save_mask_stack(stack: MaskStack, directory, protocol: SliceProtocol) -> Path:
+    """Write one PGM per mask plus a JSON manifest that records ``protocol``; returns the manifest path."""
     directory = Path(directory)
     members = []
     for i, mask in enumerate(stack.masks):
@@ -322,8 +324,8 @@ def save_mask_stack(stack: MaskStack, directory, plane_offsets, window: Window) 
         members.append(name)
     manifest = {
         "members": members,
-        "plane_offsets": [float(o) for o in plane_offsets],
-        "window": window.as_dict(),
+        "plane_offsets": list(protocol.offsets),
+        "window": protocol.window.as_dict(),
         "spacing": [stack.spacing[0], stack.spacing[1]],
         "origin": [stack.origin[0], stack.origin[1]],
     }
@@ -332,10 +334,32 @@ def save_mask_stack(stack: MaskStack, directory, plane_offsets, window: Window) 
     return manifest_path
 
 
-def load_mask_stack(manifest_path) -> tuple[MaskStack, dict]:
-    """Read a stack manifest; returns (stack, manifest dict)."""
+def load_mask_stack(manifest_path, protocol: SliceProtocol) -> MaskStack:
+    """Read a stack manifest and its masks; a stack cut with another protocol is a data error.
+
+    Its mask count, resolution, spacing and origin must be those ``protocol``
+    gives, and its plane offsets and window the protocol's where the manifest
+    records them (every stack ``save_mask_stack`` writes does).
+    """
     manifest_path = Path(manifest_path)
     manifest = sidecar.read_manifest(manifest_path, "stack manifest", ("members", "spacing", "origin"))
-    masks = [load_mask(manifest_path.parent / name) for name in manifest["members"]]
-    stack = MaskStack(tuple(masks), tuple(manifest["spacing"]), tuple(manifest["origin"]))
-    return stack, manifest
+    try:
+        masks = [load_mask(manifest_path.parent / name) for name in manifest["members"]]
+        stack = MaskStack(tuple(masks), tuple(manifest["spacing"]), tuple(manifest["origin"]))
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"stack manifest {manifest_path} is malformed: {exc!r}") from exc
+    offsets, window = list(protocol.offsets), protocol.window.as_dict()
+    for field, found, expected in (
+        ("mask count", len(stack.masks), len(protocol.offsets)),
+        ("resolution", stack.resolution, protocol.resolution),
+        ("spacing", stack.spacing, protocol.spacing),
+        ("origin", stack.origin, protocol.origin),
+        ("plane_offsets", manifest.get("plane_offsets", offsets), offsets),
+        ("window", manifest.get("window", window), window),
+    ):
+        if found != expected:
+            raise DataError(
+                f"mask stack {manifest_path}: {field} {found!r} is not the dataset's {expected!r} "
+                f"(cut with another slicing protocol; run slice again)"
+            )
+    return stack

@@ -108,7 +108,9 @@ def report_from_moments(mean_diff: float, std_diff: float, n: int) -> PairedTest
         raise DataError("need at least 2 pairs")
     df = n - 1
     if std_diff == 0.0:
-        return PairedTestReport(n, mean_diff, 0.0, 0.0, (mean_diff, mean_diff), 0.0, df, 1.0)
+        # every pair differs by the same amount: no difference at all, or a certain one
+        t, p = (math.copysign(math.inf, mean_diff), 0.0) if mean_diff else (0.0, 1.0)
+        return PairedTestReport(n, mean_diff, 0.0, 0.0, (mean_diff, mean_diff), t, df, p)
     sem = std_diff / math.sqrt(n)
     t = mean_diff / sem
     t_crit = t_quantile(0.975, df)

@@ -89,10 +89,17 @@ def test_bad_slicer_offsets_rejected_at_load(tmp_path, offsets):
     "section, key, value",
     [
         ("slicer", "resolution", 64.5),
-        ("evaluate", "oracle_injection", "no"),
         ("synth", "n", 4.5),
         ("train", "epochs", 2.5),
         ("evaluate", "samples", 10.5),
+        # a list's elements take the type of the default's elements
+        ("synth", "jitter_levels", [3.7]),
+        ("synth", "jitter_levels", [True]),
+        ("synth", "jitter_levels", ["3"]),
+        ("synth", "jitter_levels", [-1]),
+        ("synth", "volume_range", [True, 1600]),
+        ("synth", "volume_range", [800, "1600"]),
+        ("slicer", "offsets", ["0.4", 0.6]),
     ],
 )
 def test_value_of_wrong_type_rejected_at_load(tmp_path, section, key, value):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from ssmrecon import pipeline, regressor, sidecar, stats
+from ssmrecon import pipeline, regressor, sidecar, stats, synth
 from ssmrecon.cli import main
 from ssmrecon.config import load_config
 from ssmrecon.errors import DataError
@@ -181,15 +181,16 @@ def test_report_per_subject_count(small_run):
     assert [r["subject"] for r in doc["subjects"]] == test
 
 
-def test_oracle_injection_gives_null_result(small_run):
+def test_oracle_injection_gives_null_result(small_run, monkeypatch):
+    """Evaluate scores each subject's own truth, predicted in place of the regressor, as a null result."""
     tmp, cfg, _, _ = small_run
-    oracle_cfg = load_config(
-        make_config(
-            tmp,
-            {"evaluate": {"oracle_injection": True}, "paths": {"output_dir": "out_oracle"}},
-            name="config_oracle.json",
-        )
-    )
+    oracle_cfg = load_config(make_config(tmp, {"paths": {"output_dir": "out_oracle"}}, name="config_oracle.json"))
+    subjects = synth.load_population_manifest(cfg.population_dir)["subjects"]
+
+    def truth(space, params, stack, sid):
+        return load_mesh(cfg.population_dir / f"{sid}.obj"), subjects[sid]["volume_cm3"]
+
+    monkeypatch.setattr(pipeline, "_predict", truth)
     json_path, _ = pipeline.cmd_evaluate(oracle_cfg)
     doc = json.loads(json_path.read_text())
     agg = doc["aggregate"]
@@ -534,6 +535,31 @@ def test_manifest_of_another_format_version_is_data_error(small_run, tmp_path, c
     assert main([command, "--config", str(root / "config.json"), *rest]) == 2
     err = capsys.readouterr().err
     assert f"{path.name} has format_version 2, expected 1" in err
+
+
+@pytest.mark.parametrize(
+    "name, replace",
+    [
+        ("stack.json", {"spacing": "ab"}),
+        ("stack.json", {"spacing": [1.0]}),
+        ("stack.json", {"spacing": 5}),
+        ("stack.json", {"members": 5}),
+        ("stack.json", {"members": None}),
+        ("slice_0.pgm", b"P5\n-2 -3\n255\n" + bytes(6)),
+    ],
+    ids=["spacing-text", "spacing-short", "spacing-number", "members-number", "members-null", "pgm-negative-size"],
+)
+def test_malformed_stack_exits_without_traceback(small_run, tmp_path, name, replace):
+    stack_dir = shutil.copytree(small_run[0], tmp_path / "run") / "out" / "masks" / "s000"
+    path = stack_dir / name
+    if isinstance(replace, bytes):
+        path.write_bytes(replace)
+    else:
+        path.write_text(json.dumps({**json.loads(path.read_text()), **replace}))
+    cfg_path = stack_dir.parents[2] / "config.json"
+    done = fresh(["-m", "ssmrecon.cli", "reconstruct", "--config", str(cfg_path), "--stack", str(stack_dir / "stack.json")])
+    assert (done.returncode, "Traceback" in done.stderr) == (2, False), done.stderr
+    assert str(path) in done.stderr
 
 
 def test_one_subject_test_split_fails_before_scoring(tmp_path, capsys):

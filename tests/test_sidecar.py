@@ -14,7 +14,7 @@ from ssmrecon import sidecar
 from ssmrecon.errors import DataError
 from ssmrecon.regressor import MlpParams, init_params, load_weights, save_weights
 from ssmrecon.shape_space import build_ssm, load_ssm, save_ssm
-from ssmrecon.slicer import MaskStack, Window, save_mask, save_mask_stack
+from ssmrecon.slicer import MaskStack, SliceProtocol, Window, save_mask, save_mask_stack
 from ssmrecon.spatial import _KNN_K, _QUERY_BLOCK_POINTS, MAX_COORDINATE_MM, SurfaceIndex, closest_points, closest_points_brute
 
 
@@ -118,7 +118,7 @@ def _write_stack(directory, k):
     masks = tuple(np.tri(32, k=i, dtype=np.uint8) for i in range(3))
     window = Window(np.full(3, -50.0 - k / 3), np.full(3, 50.0 + k / 7))
     offsets = (0.35, 0.5, 0.65) if k == 0 else (0.3, 0.5123456789, 0.7)
-    save_mask_stack(MaskStack(masks, (1.0, 1.0), (0.0, 0.0)), directory, offsets, window)
+    save_mask_stack(MaskStack(masks, (1.0, 1.0), (0.0, 0.0)), directory, SliceProtocol(offsets, window, 32))
 
 
 def _write_model(directory, k):

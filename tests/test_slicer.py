@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -292,6 +295,14 @@ def test_nonbinary_pgm_rejected(tmp_path):
         load_mask(path)
 
 
+@pytest.mark.parametrize("header", [b"P5\n-2 -3\n255\n", b"P5\n0 0\n255\n"], ids=["negative", "zero"])
+def test_pgm_without_pixels_rejected(tmp_path, header):
+    path = tmp_path / "empty.pgm"
+    path.write_bytes(header + bytes(6))
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: PGM width and height must be at least 1"):
+        load_mask(path)
+
+
 def test_header_mismatch_rejected(tmp_path):
     path = tmp_path / "short.pgm"
     path.write_bytes(b"P5\n8 8\n255\n" + b"\x00" * 10)
@@ -311,10 +322,22 @@ def test_mixed_resolution_stack_refused():
 def test_stack_round_trip(tmp_path, small_population, shared_window):
     protocol = SliceProtocol((0.35, 0.5, 0.65), shared_window, 48)
     stack = make_mask_stack(small_population[2], protocol)
-    manifest = save_mask_stack(stack, tmp_path / "s002", protocol.offsets, shared_window)
-    again, doc = load_mask_stack(manifest)
+    manifest = save_mask_stack(stack, tmp_path / "s002", protocol)
+    again = load_mask_stack(manifest, protocol)
     assert len(again.masks) == 3
     for a, b in zip(stack.masks, again.masks):
         assert np.array_equal(a, b)
     assert again.spacing == stack.spacing
-    assert doc["plane_offsets"] == [0.35, 0.5, 0.65]
+    assert json.loads(manifest.read_text())["plane_offsets"] == [0.35, 0.5, 0.65]
+
+
+def test_stack_loaded_with_another_protocol_rejected(tmp_path, small_population, shared_window):
+    protocol = SliceProtocol((0.35, 0.5, 0.65), shared_window, 48)
+    manifest = save_mask_stack(make_mask_stack(small_population[2], protocol), tmp_path / "s002", protocol)
+    for other, field in (
+        (SliceProtocol((0.4, 0.6), shared_window, 48), "mask count"),
+        (SliceProtocol(protocol.offsets, shared_window, 64), "resolution"),
+        (SliceProtocol((0.3, 0.5, 0.65), shared_window, 48), "plane_offsets"),
+    ):
+        with pytest.raises(DataError, match=f"^mask stack {re.escape(str(manifest))}: {field} .*run slice again"):
+            load_mask_stack(manifest, other)

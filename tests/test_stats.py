@@ -155,6 +155,13 @@ def test_equal_series_null_result():
     assert report.p == 1.0
 
 
+def test_constant_nonzero_difference_is_significant():
+    report = paired_t_test([10.0, 20.0, 30.0], [0.0, 10.0, 20.0])
+    assert (report.mean_diff, report.std_diff, report.sem, report.ci95) == (10.0, 0.0, 0.0, (10.0, 10.0))
+    assert (report.t, report.p) == (math.inf, 0.0)
+    assert paired_t_test([0.0, 10.0, 20.0], [10.0, 20.0, 30.0]).t == -math.inf
+
+
 def test_antisymmetry():
     rng = np.random.default_rng(5)
     a = rng.normal(1000, 100, size=20)

@@ -7,10 +7,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError, DataError
+from .metrics import DEFAULT_SAMPLES
 from .register import FitConfig
 from .regressor import TrainConfig
 from .slicer import check_protocol
@@ -61,24 +63,12 @@ class SplitSection:
 
 @dataclass(frozen=True)
 class EvaluateSection:
-    samples: int = 10_000
+    samples: int = DEFAULT_SAMPLES
     seed: int = 0
 
     def __post_init__(self):
         if self.samples < 1:
             raise ConfigError("evaluate.samples must be >= 1")
-
-
-_SECTIONS = {
-    "paths": PathsConfig,
-    "synth": SynthConfig,
-    "fit": FitConfig,
-    "ssm": SsmSection,
-    "slicer": SlicerSection,
-    "train": TrainSection,
-    "split": SplitSection,
-    "evaluate": EvaluateSection,
-}
 
 
 @dataclass(frozen=True)
@@ -116,6 +106,10 @@ class PipelineConfig:
     @property
     def output_dir(self) -> Path:
         return self.resolve(self.paths.output_dir)
+
+
+# section name -> section class, in field order; every field but base_dir is a section
+_SECTIONS = {name: cls for name, cls in typing.get_type_hints(PipelineConfig).items() if name != "base_dir"}
 
 
 def _build_section(name: str, cls, payload: dict):

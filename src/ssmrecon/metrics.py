@@ -113,24 +113,14 @@ def _sampled(surface: Surface, n: int, seed: int) -> SampledSurface:
     return surface
 
 
-def _directed_means(a: Surface, b: Surface, n: int, seed: int) -> tuple[float, float]:
-    """Mean distances a-samples to b and b-samples to a."""
-    a, b = _sampled(a, n, seed), _sampled(b, n, seed)
-    d_ab = b.index.query(a.samples)[1].mean()
-    d_ba = a.index.query(b.samples)[1].mean()
-    return float(d_ab), float(d_ba)
-
-
 def chamfer(mesh_a: Surface, mesh_b: Surface, n: int = DEFAULT_SAMPLES, seed: int = 0) -> float:
     """Sum of the two directed mean sample-to-surface distances (mm)."""
-    d_ab, d_ba = _directed_means(mesh_a, mesh_b, n, seed)
-    return d_ab + d_ba
+    return mesh_metrics(mesh_a, mesh_b, n, seed).chamfer_mm
 
 
 def msd(mesh_a: Surface, mesh_b: Surface, n: int = DEFAULT_SAMPLES, seed: int = 0) -> float:
     """Average of the two directed mean distances (mm); equals chamfer / 2."""
-    d_ab, d_ba = _directed_means(mesh_a, mesh_b, n, seed)
-    return (d_ab + d_ba) / 2.0
+    return mesh_metrics(mesh_a, mesh_b, n, seed).msd_mm
 
 
 def mesh_metrics(mesh_a: Surface, mesh_b: Surface, n: int = DEFAULT_SAMPLES, seed: int = 0) -> MeshMetrics:
@@ -140,7 +130,9 @@ def mesh_metrics(mesh_a: Surface, mesh_b: Surface, n: int = DEFAULT_SAMPLES, see
     and indexed once and compared many times; it must have been sampled
     with this ``n`` and ``seed``.
     """
-    d_ab, d_ba = _directed_means(mesh_a, mesh_b, n, seed)
+    a, b = _sampled(mesh_a, n, seed), _sampled(mesh_b, n, seed)
+    d_ab = float(b.index.query(a.samples)[1].mean())
+    d_ba = float(a.index.query(b.samples)[1].mean())
     return MeshMetrics(d_ab + d_ba, (d_ab + d_ba) / 2.0)
 
 

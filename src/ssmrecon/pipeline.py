@@ -23,6 +23,7 @@ from .errors import ConfigError, DataError, NumericalError
 from .mesh import MM3_PER_CM3, TriMesh, load_mesh, oriented_volume_mm3, save_mesh, signed_volume
 from .register import generalized_procrustes, nonrigid_fit, smoothing_system
 from .slicer import (
+    STACK_MANIFEST,
     MaskStack,
     SliceProtocol,
     Window,
@@ -91,7 +92,7 @@ def _load_window(cfg: PipelineConfig) -> Window:
     doc = sidecar.read_manifest(path, "dataset window", ("window",))
     try:
         return Window.from_dict(doc["window"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (DataError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"dataset window {path} is malformed: {exc!r}") from exc
 
 
@@ -166,7 +167,7 @@ def cmd_slice(cfg: PipelineConfig) -> list[Path]:
 
 
 def _load_stack(cfg: PipelineConfig, sid: str) -> MaskStack:
-    manifest = cfg.masks_dir / sid / "stack.json"
+    manifest = cfg.masks_dir / sid / STACK_MANIFEST
     if not manifest.exists():
         raise DataError(f"mask stack not found: {manifest} (run slice first)")
     return load_mask_stack(manifest, _protocol(cfg))
@@ -203,7 +204,7 @@ def _truth_volume(cfg: PipelineConfig, manifest: dict, subject: str) -> float:
     volume = entry.get("volume_cm3") if isinstance(entry, dict) else None
     if type(volume) not in (int, float) or not math.isfinite(volume):
         raise DataError(
-            f"population manifest {cfg.population_dir / 'population.json'}: "
+            f"population manifest {cfg.population_dir / synth.POPULATION_MANIFEST}: "
             f"subject {subject} has no numeric 'volume_cm3' (got {volume!r})"
         )
     return float(volume)

@@ -20,6 +20,7 @@ from .spatial import SurfaceIndex
 
 _DEGENERATE_RTOL = 1e-12
 _GPA_MAX_ROUNDS = 50  # generalized Procrustes rounds before the mean shape must have settled
+_ICP_MAX_ROUNDS = 60  # rounds of each rigid initialisation phase before it counts as capped
 
 # Held while a template's smoothing system is factored, so that fits sharing a template on
 # different threads factor it once between them.
@@ -209,9 +210,7 @@ def _kabsch_step(v: np.ndarray, matched: np.ndarray, dist: np.ndarray) -> RigidT
         return None  # near-degenerate correspondences: keep current pose
 
 
-def _rigid_icp_init(
-    vertices: np.ndarray, index: SurfaceIndex, tol: float, log: FitLog, max_rounds: int = 60
-) -> np.ndarray:
+def _rigid_icp_init(vertices: np.ndarray, index: SurfaceIndex, tol: float, log: FitLog) -> np.ndarray:
     """Centroid shift, point-to-plane rounds, then nearest-vertex Kabsch rounds.
 
     Each plane round matches every vertex to its closest surface point and
@@ -220,22 +219,22 @@ def _rigid_icp_init(
     nearest-vertex phase follows: once the pose error drops under the vertex
     spacing those pairs become the true correspondence and the remaining
     motion is recovered essentially exactly. Both phases stop when the mean
-    distance improves by less than 1% of ``tol``, or after ``max_rounds``;
+    distance improves by less than 1% of ``tol``, or after ``_ICP_MAX_ROUNDS``;
     ``log`` records the steps and caps of each.
     """
     from scipy.spatial import cKDTree
 
     v = vertices + (index.mesh.centroid() - vertices.mean(axis=0))
-    v, log.plane_rounds = _icp_rounds(v, index.query, _plane_step, tol, max_rounds)
+    v, log.plane_rounds = _icp_rounds(v, index.query, _plane_step, tol, _ICP_MAX_ROUNDS)
     vertex_tree = cKDTree(index.mesh.vertices)
 
     def match_vertices(x):
         dist, idx = vertex_tree.query(x)
         return index.mesh.vertices[idx], dist
 
-    v, log.vertex_rounds = _icp_rounds(v, match_vertices, _kabsch_step, tol, max_rounds)
-    log.plane_capped = log.plane_rounds == max_rounds
-    log.vertex_capped = log.vertex_rounds == max_rounds
+    v, log.vertex_rounds = _icp_rounds(v, match_vertices, _kabsch_step, tol, _ICP_MAX_ROUNDS)
+    log.plane_capped = log.plane_rounds == _ICP_MAX_ROUNDS
+    log.vertex_capped = log.vertex_rounds == _ICP_MAX_ROUNDS
     return v
 
 

@@ -205,7 +205,7 @@ class TrainingLog:
         return zip(self.epochs, self.train_loss, self.val_loss)
 
 
-def train(dataset, cfg: TrainConfig, n_hidden: int = 256) -> tuple[MlpParams, TrainingLog]:
+def train(dataset, cfg: TrainConfig, n_hidden: int) -> tuple[MlpParams, TrainingLog]:
     """Fit the network on (input, target) pairs.
 
     Deterministic for a fixed config seed (initialisation, split and epoch

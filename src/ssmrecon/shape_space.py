@@ -87,10 +87,6 @@ class ShapeSpace:
         return TriMesh(self.mean.reshape(-1, 3), self.faces)
 
 
-def _flatten(mesh: TriMesh) -> np.ndarray:
-    return mesh.vertices.ravel()
-
-
 def build_ssm(population: list[TriMesh], n_components: int) -> ShapeSpace:
     """Fit a ShapeSpace to an aligned population.
 
@@ -111,7 +107,7 @@ def build_ssm(population: list[TriMesh], n_components: int) -> ShapeSpace:
     if n_components < 1:
         raise DataError("K must be >= 1")
 
-    rows = np.stack([_flatten(m) for m in population])
+    rows = np.stack([m.vertices.ravel() for m in population])
     mean = rows.mean(axis=0)
     centred = rows - mean
     _, sing, vt = np.linalg.svd(centred, full_matrices=False)
@@ -139,7 +135,7 @@ def project(space: ShapeSpace, mesh: TriMesh) -> np.ndarray:
     """Standardized shape parameters of a reference-topology mesh."""
     if mesh.n_vertices != space.n_vertices or not np.array_equal(mesh.faces, space.faces):
         raise DataError("mesh does not have the shape space's reference topology")
-    centred = _flatten(mesh) - space.mean
+    centred = mesh.vertices.ravel() - space.mean
     return (centred @ space.components) / space.score_scale
 
 
@@ -185,12 +181,15 @@ def load_ssm(path) -> ShapeSpace:
     """Load a manifest/sidecar pair written by save_ssm.
 
     Fails loudly (no partial object) on version mismatch, a manifest without
-    ``faces`` or ``n_population``, truncated payload or manifest/payload
-    dimension inconsistencies. The arrays are read-only
-    views of the memory-mapped sidecar.
+    ``faces`` or ``n_population`` or with values no shape space accepts,
+    truncated payload or manifest/payload dimension inconsistencies. The
+    arrays are read-only views of the memory-mapped sidecar.
     """
     manifest, arrays = sidecar.load(path, "ssm", "shape space", _ssm_shapes, ("faces", "n_population"))
-    faces = np.asarray(manifest["faces"], dtype=np.int64).reshape(-1, 3)
-    return ShapeSpace(
-        arrays["mean"], arrays["components"].T, arrays["score_scale"], faces, int(manifest["n_population"])
-    )
+    try:
+        faces = np.asarray(manifest["faces"], dtype=np.int64).reshape(-1, 3)
+        return ShapeSpace(
+            arrays["mean"], arrays["components"].T, arrays["score_scale"], faces, int(manifest["n_population"])
+        )
+    except (DataError, TypeError, ValueError) as exc:
+        raise DataError(f"shape space manifest {sidecar._paths(path, 'ssm')[0]} is malformed: {exc!r}") from exc

@@ -17,6 +17,9 @@ from . import sidecar
 from .errors import DataError
 from .mesh import Plane, TriMesh, validate_closed
 
+STACK_MANIFEST = "stack.json"  # a stack directory's manifest, next to its masks
+
+
 @dataclass(frozen=True)
 class Window:
     """Axis-aligned 3D box (mm) shared by all subjects of a dataset."""
@@ -96,7 +99,7 @@ class SliceProtocol:
 
     offsets: tuple
     window: Window
-    resolution: int = 192
+    resolution: int
 
     def __post_init__(self):
         object.__setattr__(self, "offsets", check_protocol(self.offsets, self.resolution))
@@ -329,7 +332,7 @@ def save_mask_stack(stack: MaskStack, directory, protocol: SliceProtocol) -> Pat
         "spacing": [stack.spacing[0], stack.spacing[1]],
         "origin": [stack.origin[0], stack.origin[1]],
     }
-    manifest_path = directory / "stack.json"
+    manifest_path = directory / STACK_MANIFEST
     sidecar.write_json(manifest_path, manifest)
     return manifest_path
 
@@ -346,7 +349,7 @@ def load_mask_stack(manifest_path, protocol: SliceProtocol) -> MaskStack:
     try:
         masks = [load_mask(manifest_path.parent / name) for name in manifest["members"]]
         stack = MaskStack(tuple(masks), tuple(manifest["spacing"]), tuple(manifest["origin"]))
-    except (TypeError, ValueError) as exc:
+    except (DataError, TypeError, ValueError) as exc:
         raise DataError(f"stack manifest {manifest_path} is malformed: {exc!r}") from exc
     offsets, window = list(protocol.offsets), protocol.window.as_dict()
     for field, found, expected in (

@@ -21,6 +21,7 @@ from .slicer import cross_section, loop_area
 
 _ASPECT = np.array([1.6, 1.2, 1.0])
 _MAX_RETRIES = 10
+POPULATION_MANIFEST = "population.json"  # subject ids, ground-truth volumes and seeds, next to the meshes
 
 
 @dataclass(frozen=True)
@@ -120,10 +121,16 @@ def write_population(meshes: list[TriMesh], volumes: list[float], cfg: SynthConf
         sid = subject_id(i)
         save_mesh(mesh, directory / f"{sid}.obj")
         subjects[sid] = {"volume_cm3": vol, "seed": cfg.seed + i}
-    manifest_path = directory / "population.json"
+    manifest_path = directory / POPULATION_MANIFEST
     sidecar.write_json(manifest_path, {"seed": cfg.seed, "subjects": subjects})
     return manifest_path
 
 
 def load_population_manifest(directory) -> dict:
-    return sidecar.read_manifest(Path(directory) / "population.json", "population manifest", ("subjects",))
+    """The population manifest in ``directory``; its ``subjects`` must map ids to entries."""
+    path = Path(directory) / POPULATION_MANIFEST
+    manifest = sidecar.read_manifest(path, "population manifest", ("subjects",))
+    subjects = manifest["subjects"]
+    if not isinstance(subjects, dict):
+        raise DataError(f"population manifest {path}: 'subjects' must be an object, got {type(subjects).__name__}")
+    return manifest

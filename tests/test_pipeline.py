@@ -546,8 +546,12 @@ def test_manifest_of_another_format_version_is_data_error(small_run, tmp_path, c
         ("stack.json", {"members": 5}),
         ("stack.json", {"members": None}),
         ("slice_0.pgm", b"P5\n-2 -3\n255\n" + bytes(6)),
+        ("stack.json", {"members": []}),
     ],
-    ids=["spacing-text", "spacing-short", "spacing-number", "members-number", "members-null", "pgm-negative-size"],
+    ids=[
+        "spacing-text", "spacing-short", "spacing-number", "members-number", "members-null", "pgm-negative-size",
+        "members-empty",
+    ],
 )
 def test_malformed_stack_exits_without_traceback(small_run, tmp_path, name, replace):
     stack_dir = shutil.copytree(small_run[0], tmp_path / "run") / "out" / "masks" / "s000"
@@ -571,13 +575,21 @@ def test_one_subject_test_split_fails_before_scoring(tmp_path, capsys):
     assert not (tmp_path / "out" / "evaluation.json").exists()
 
 
-def test_window_without_corner_is_data_error(small_run, tmp_path):
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda window: window.pop("lo"), r"model\.window\.json is malformed: KeyError\('lo'\)"),
+        (lambda window: window.update(lo=window["hi"]), r"model\.window\.json is malformed: DataError"),
+    ],
+    ids=["no-lo", "lo-equals-hi"],
+)
+def test_window_without_corner_is_data_error(small_run, tmp_path, edit, match):
     root = shutil.copytree(small_run[0], tmp_path / "run")
     path = root / "out" / "model.window.json"
     doc = json.loads(path.read_text())
-    del doc["window"]["lo"]
+    edit(doc["window"])
     path.write_text(json.dumps(doc))
-    with pytest.raises(DataError, match=r"model\.window\.json is malformed: KeyError\('lo'\)"):
+    with pytest.raises(DataError, match=match):
         pipeline._load_window(load_config(root / "config.json"))
 
 
@@ -593,6 +605,33 @@ def test_shape_space_without_header_key_exits_without_traceback(small_run, tmp_p
         done = fresh(["-m", "ssmrecon.cli", *args])
         assert (done.returncode, "Traceback" in done.stderr) == (2, False), done.stderr
         assert f"{path.name} has no {key!r} key" in done.stderr
+
+
+@pytest.mark.parametrize(
+    "key, value", [("faces", "abc"), ("n_population", "x"), ("n_population", 1)], ids=["faces-text", "n-text", "n-one"]
+)
+def test_shape_space_header_of_bad_value_exits_without_traceback(small_run, tmp_path, key, value):
+    root = shutil.copytree(small_run[0], tmp_path / "run")
+    path = root / "out" / "model.ssm.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
+    config = str(root / "config.json")
+    for args in (["reconstruct", "--config", config, "--subject", "s000"], ["evaluate", "--config", config]):
+        done = fresh(["-m", "ssmrecon.cli", *args])
+        assert (done.returncode, "Traceback" in done.stderr) == (2, False), done.stderr
+        assert f"{path.name} is malformed" in done.stderr
+
+
+@pytest.mark.parametrize("replace", [lambda subjects: 5, sorted], ids=["number", "list-of-ids"])
+def test_population_subjects_not_an_object_exits_without_traceback(small_run, tmp_path, replace):
+    root = shutil.copytree(small_run[0], tmp_path / "run")
+    path = root / "population" / "population.json"
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps({**doc, "subjects": replace(doc["subjects"])}))
+    config = str(root / "config.json")
+    for command in ("build-ssm", "evaluate"):
+        done = fresh(["-m", "ssmrecon.cli", command, "--config", config])
+        assert (done.returncode, "Traceback" in done.stderr) == (2, False), done.stderr
+        assert f"{path}: 'subjects' must be an object" in done.stderr
 
 
 @pytest.mark.parametrize("volume", [None, "1200.0"], ids=["missing", "string"])

@@ -40,12 +40,8 @@ class TriMesh:
     def __post_init__(self):
         v = np.ascontiguousarray(np.asarray(self.vertices, dtype=np.float64)).reshape(-1, 3)
         f = np.ascontiguousarray(np.asarray(self.faces, dtype=np.int64)).reshape(-1, 3)
+        check_face_indices(f, len(v))
         if f.size:
-            if f.min() < 0 or f.max() >= len(v):
-                raise DataError(
-                    f"face index out of range: indices span [{f.min()}, {f.max()}] "
-                    f"for {len(v)} vertices"
-                )
             degenerate = (f[:, 0] == f[:, 1]) | (f[:, 1] == f[:, 2]) | (f[:, 0] == f[:, 2])
             if degenerate.any():
                 raise DataError(f"degenerate face (repeated vertex index) at row {int(np.argmax(degenerate))}")
@@ -109,6 +105,14 @@ class TriMesh:
 
     def same_topology(self, other: "TriMesh") -> bool:
         return self.n_vertices == other.n_vertices and np.array_equal(self.faces, other.faces)
+
+
+def check_face_indices(faces: np.ndarray, n_vertices: int) -> None:
+    """Raise DataError unless every index in ``faces`` lies in [0, n_vertices)."""
+    if faces.size and (faces.min() < 0 or faces.max() >= n_vertices):
+        raise DataError(
+            f"face index out of range: indices span [{faces.min()}, {faces.max()}] for {n_vertices} vertices"
+        )
 
 
 @dataclass(frozen=True)
@@ -235,7 +239,10 @@ def save_mesh(mesh: TriMesh, path) -> None:
 
     Coordinates are written with ``repr`` so a save/load round trip
     reproduces vertices bit-exactly. Each record kind is one ``%`` format over
-    all its rows.
+    all its rows. Formatting ``float.__repr__`` strings with ``%s`` writes the
+    same bytes but is no faster: ``float.__repr__`` itself is nearly all of
+    the time, and calling it through the slot wrapper cost 1-5% more than
+    ``%r`` on a 2,562-vertex mesh (CPython 3.11).
     """
     text = ("v %r %r %r\n" * mesh.n_vertices) % tuple(mesh.vertices.ravel().tolist())
     text += ("f %d %d %d\n" * mesh.n_faces) % tuple((mesh.faces + 1).ravel().tolist())
@@ -249,12 +256,13 @@ def save_mesh(mesh: TriMesh, path) -> None:
 def boundary_edges(mesh: TriMesh) -> np.ndarray:
     """Undirected edges not shared by exactly two faces, as an (n, 2) array."""
     f = mesh.faces
-    edges = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]], axis=0)
-    edges = np.sort(edges, axis=1)
-    # one int64 key per edge sorts like the (lo, hi) rows, far faster than unique(axis=0)
+    g = np.roll(f, -1, axis=1)  # the edges (a, b), (b, c), (c, a) of each face
+    # one int64 key per edge sorts like its (lo, hi) row; one in-place sort groups equal edges
     n = mesh.n_vertices
-    keys, counts = np.unique(edges[:, 0] * n + edges[:, 1], return_counts=True)
-    bad = keys[counts != 2]
+    keys = (np.minimum(f, g) * n + np.maximum(f, g)).ravel()
+    keys.sort()
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))  # keys are >= 0, so a run starts at 0
+    bad = keys[starts[np.diff(starts, append=len(keys)) != 2]]
     return np.stack([bad // n, bad % n], axis=1)
 
 

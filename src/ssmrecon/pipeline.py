@@ -229,7 +229,7 @@ def cmd_reconstruct(cfg: PipelineConfig, subject: str | None = None, stack_path=
     if (subject is None) == (stack_path is None):
         raise ConfigError("reconstruct needs exactly one of --subject or --stack")
     if subject is not None:
-        stack = _load_stack(cfg, subject)
+        stack = _load_stack(cfg, synth.check_subject_id(subject))
     else:
         stack = load_mask_stack(stack_path, _protocol(cfg))
         subject = Path(stack_path).resolve().parent.name

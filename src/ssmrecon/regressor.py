@@ -120,20 +120,22 @@ def _flat_input(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64).ravel()
 
 
+def _checked_input(x, n_inputs: int) -> np.ndarray:
+    """``_flat_input(x)``, which must hold ``n_inputs`` values."""
+    v = _flat_input(x)
+    if v.size != n_inputs:
+        raise DataError(f"input has {v.size} values, network expects {n_inputs}")
+    return v
+
+
 def _as_input_matrix(inputs, n_inputs: int) -> np.ndarray:
     """Stack flattened {0,1} inputs into a (B, D) matrix."""
-    rows = []
-    for x in inputs:
-        v = _flat_input(x)
-        if v.size != n_inputs:
-            raise DataError(f"input has {v.size} values, network expects {n_inputs}")
-        rows.append(v)
-    return np.stack(rows)
+    return np.stack([_checked_input(x, n_inputs) for x in inputs])
 
 
 def forward(params: MlpParams, stack) -> np.ndarray:
     """Predicted shape parameters for one mask stack (or flat {0,1} vector)."""
-    x = _as_input_matrix([stack], params.n_inputs)[0]
+    x = _checked_input(stack, params.n_inputs)
     hidden = np.maximum(params.w1 @ x + params.b1, 0.0)
     return params.w2 @ hidden + params.b2
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import sidecar
 from .errors import DataError, NumericalError
-from .mesh import TriMesh
+from .mesh import TriMesh, check_face_indices
 
 # Score scales use the population std (divisor N): with centred rows the
 # k-th singular value satisfies sigma_k = s_k / sqrt(N).
@@ -52,6 +52,7 @@ class ShapeSpace:
         faces = np.asarray(self.faces, dtype=np.int64).reshape(-1, 3)
         if mean.size % 3:
             raise DataError("mean length must be a multiple of 3")
+        check_face_indices(faces, mean.size // 3)
         if comp.shape != (mean.size, scale.size):
             raise DataError(
                 f"component matrix shape {comp.shape} inconsistent with mean ({mean.size}) "

@@ -129,15 +129,18 @@ class MaskStack:
     origin: tuple   # window (y, z) minimum corner, mm
 
     def __post_init__(self):
-        masks = tuple(np.ascontiguousarray(np.asarray(m, dtype=np.uint8)) for m in self.masks)
+        masks = tuple(map(np.asarray, self.masks))
         if len(masks) not in (2, 3):
             raise DataError("a stack holds 2 or 3 masks")
         r = masks[0].shape
         for m in masks:
             if m.ndim != 2 or m.shape != r or m.shape[0] != m.shape[1]:
                 raise DataError("all masks must be square and share one resolution")
-            if not np.isin(m, (0, 1)).all():
+            # the values as given: the uint8 cast would wrap 256 to 0 and truncate 0.5 to 0
+            if not ((m == 0) | (m == 1)).all():
                 raise DataError("masks must be binary (0/1)")
+        masks = tuple(np.ascontiguousarray(m, dtype=np.uint8) for m in masks)
+        for m in masks:
             m.flags.writeable = False
         sy, sz = (float(s) for s in self.spacing)
         if sy <= 0 or sz <= 0:
@@ -152,7 +155,7 @@ class MaskStack:
 
     def flatten(self) -> np.ndarray:
         """Slice-major then row-major {0,1} vector, the regressor's input layout."""
-        return np.concatenate([m.ravel() for m in self.masks]).astype(np.float64)
+        return np.concatenate([m.ravel() for m in self.masks], dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -284,13 +287,14 @@ def make_mask_stack(mesh: TriMesh, protocol: SliceProtocol) -> MaskStack:
 
 def save_mask(mask: np.ndarray, path) -> None:
     """Write a {0,1} mask as binary PGM (P5, maxval 255, values 0/255)."""
-    m = np.asarray(mask, dtype=np.uint8)
+    m = np.asarray(mask)
     if m.ndim != 2:
         raise DataError("mask must be 2-D")
-    if not np.isin(m, (0, 1)).all():
+    if not ((m == 0) | (m == 1)).all():  # before the uint8 cast, as in MaskStack
         raise DataError("mask values must be 0 or 1")
     h, w = m.shape
-    sidecar.write(path, f"P5\n{w} {h}\n255\n".encode("ascii") + (m * np.uint8(255)).tobytes())
+    pixels = m.astype(np.uint8, copy=False) * np.uint8(255)
+    sidecar.write(path, f"P5\n{w} {h}\n255\n".encode("ascii") + pixels.tobytes())
 
 
 def load_mask(path) -> np.ndarray:
@@ -312,9 +316,10 @@ def load_mask(path) -> np.ndarray:
     if len(data) != w * h:
         raise DataError(f"{path}: PGM payload truncated ({len(data)} of {w * h} bytes)")
     img = np.frombuffer(data, dtype=np.uint8).reshape(h, w)
-    if not np.isin(img, (0, 255)).all():
+    on = img == 255
+    if not (on | (img == 0)).all():
         raise DataError(f"{path}: binary masks must be 0 or 255")
-    return (img == 255).astype(np.uint8)
+    return on.view(np.uint8)
 
 
 def save_mask_stack(stack: MaskStack, directory, protocol: SliceProtocol) -> Path:

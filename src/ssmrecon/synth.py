@@ -126,11 +126,27 @@ def write_population(meshes: list[TriMesh], volumes: list[float], cfg: SynthConf
     return manifest_path
 
 
+def check_subject_id(sid: str) -> str:
+    """``sid`` if it is one plain path component, else DataError.
+
+    Ids name files and directories (``<population_dir>/<id>.obj``,
+    ``<masks_dir>/<id>/``), so an id like ``../x`` would reach outside them.
+    """
+    if sid in ("", ".", "..") or "/" in sid or "\\" in sid or Path(sid).name != sid:
+        raise DataError(f"subject id {sid!r} is not one plain path component")
+    return sid
+
+
 def load_population_manifest(directory) -> dict:
-    """The population manifest in ``directory``; its ``subjects`` must map ids to entries."""
+    """The population manifest in ``directory``; its ``subjects`` must map plain ids to entries."""
     path = Path(directory) / POPULATION_MANIFEST
     manifest = sidecar.read_manifest(path, "population manifest", ("subjects",))
     subjects = manifest["subjects"]
     if not isinstance(subjects, dict):
         raise DataError(f"population manifest {path}: 'subjects' must be an object, got {type(subjects).__name__}")
+    try:
+        for sid in subjects:
+            check_subject_id(sid)
+    except DataError as exc:
+        raise DataError(f"population manifest {path}: {exc}") from exc
     return manifest

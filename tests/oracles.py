@@ -8,8 +8,9 @@ volume comes from voxel column parity counting, the t CDF from
 adaptive Simpson quadrature, regressor training steps the full
 first-layer weight matrix (the primal form) instead of its dual
 coefficients, an OBJ file is written one formatted line at a time and read
-one line at a time, and an icosphere is subdivided one face at a time
-through a dict of edge midpoints.
+one line at a time, an icosphere is subdivided one face at a time
+through a dict of edge midpoints, and a mesh's unmatched edges are counted
+with ``np.unique`` over row-sorted edge pairs.
 """
 import math
 
@@ -317,6 +318,22 @@ def primal_sgd_train(dataset, cfg, n_hidden=256):
             if cfg.patience and since_best >= cfg.patience:
                 break
     return best, log
+
+
+# ---------------------------------------------------------------------------
+# Closedness by np.unique
+
+
+def boundary_edges_by_unique(mesh):
+    """``mesh.boundary_edges`` with one ``np.unique`` over the row-sorted edges."""
+    f = mesh.faces
+    edges = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]], axis=0)
+    edges = np.sort(edges, axis=1)
+    # one int64 key per edge sorts like the (lo, hi) rows, far faster than unique(axis=0)
+    n = mesh.n_vertices
+    keys, counts = np.unique(edges[:, 0] * n + edges[:, 1], return_counts=True)
+    bad = keys[counts != 2]
+    return np.stack([bad // n, bad % n], axis=1)
 
 
 # ---------------------------------------------------------------------------

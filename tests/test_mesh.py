@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_rotation
-from oracles import brute_nearest_distance, icosphere_by_dict, load_mesh_by_lines, save_mesh_by_lines, voxel_volume_cm3
+from oracles import (
+    boundary_edges_by_unique,
+    brute_nearest_distance,
+    icosphere_by_dict,
+    load_mesh_by_lines,
+    save_mesh_by_lines,
+    voxel_volume_cm3,
+)
 
 from ssmrecon import mesh as M
 from ssmrecon.errors import DataError
@@ -250,6 +257,42 @@ def test_open_mesh_rejected_naming_edge():
     for mesh in (open_mesh, open_mesh, open_mesh.with_vertices(2.0 * cube.vertices)):
         with pytest.raises(DataError, match=r"edge \(\d+, \d+\)"):
             M.signed_volume(mesh)
+
+
+def _soup(faces, n_vertices=None):
+    faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
+    if n_vertices is None:
+        n_vertices = int(faces.max()) + 1 if faces.size else 0
+    return M.TriMesh(np.zeros((n_vertices, 3)), faces)
+
+
+_CUBE = M.cube(1.0).faces
+
+
+@st.composite
+def _face_soups(draw):
+    """Closed meshes with faces dropped, repeated and added, then shuffled."""
+    base = draw(st.sampled_from([[], _CUBE.tolist(), M.icosphere(1.0, 1).faces.tolist()]))
+    faces = [row for row in base if draw(st.integers(0, 9))]  # drops about one face in ten
+    faces += draw(st.lists(st.sampled_from(base), max_size=3)) if base else []
+    # faces over the old vertices and three new ones: fins on old edges, loose triangles
+    n = int(np.max(base)) + 1 if base else 0
+    faces += draw(st.lists(st.lists(st.integers(0, n + 2), min_size=3, max_size=3, unique=True), max_size=6))
+    return _soup(draw(st.permutations(faces)), n + 3)
+
+
+@given(mesh=_face_soups())
+@example(mesh=_soup(_CUBE))  # closed
+@example(mesh=_soup(_CUBE[1:]))  # open: edges of one face
+@example(mesh=_soup(np.concatenate([_CUBE, [[0, 1, 8]]])))  # fin: edge (0, 1) in 3 faces
+@example(mesh=_soup(np.concatenate([_CUBE, [[0, 1, 8], [1, 0, 9]]])))  # edge (0, 1) in 4 faces
+@example(mesh=_soup(np.concatenate([_CUBE, _CUBE[:2]])))  # repeated faces
+@example(mesh=_soup(np.zeros((0, 3)), 0))  # empty
+@settings(max_examples=300, deadline=None)
+def test_boundary_edges_match_unique_oracle(mesh):
+    got, want = M.boundary_edges(mesh), boundary_edges_by_unique(mesh)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 def test_closedness_found_once_per_topology(monkeypatch):

@@ -608,7 +608,9 @@ def test_shape_space_without_header_key_exits_without_traceback(small_run, tmp_p
 
 
 @pytest.mark.parametrize(
-    "key, value", [("faces", "abc"), ("n_population", "x"), ("n_population", 1)], ids=["faces-text", "n-text", "n-one"]
+    "key, value",
+    [("faces", "abc"), ("n_population", "x"), ("n_population", 1), ("faces", [[0, 1, 999999]])],
+    ids=["faces-text", "n-text", "n-one", "face-out-of-range"],
 )
 def test_shape_space_header_of_bad_value_exits_without_traceback(small_run, tmp_path, key, value):
     root = shutil.copytree(small_run[0], tmp_path / "run")
@@ -619,6 +621,33 @@ def test_shape_space_header_of_bad_value_exits_without_traceback(small_run, tmp_
         done = fresh(["-m", "ssmrecon.cli", *args])
         assert (done.returncode, "Traceback" in done.stderr) == (2, False), done.stderr
         assert f"{path.name} is malformed" in done.stderr
+
+
+def test_subject_id_reaching_outside_its_directory_writes_nothing(small_run, tmp_path, capsys):
+    """Slicing an id ``../out/recon/s000`` read out/recon/s000.obj and wrote out/out/recon/s000/."""
+    root = shutil.copytree(small_run[0], tmp_path / "run")
+    path = root / "population" / "population.json"
+    doc = json.loads(path.read_text())
+    doc["subjects"]["../out/recon/s000"] = doc["subjects"].pop("s000")
+    path.write_text(json.dumps(doc))
+    (root / "out" / "recon").mkdir(exist_ok=True)
+    shutil.copy(root / "population" / "s000.obj", root / "out" / "recon" / "s000.obj")
+
+    def outside_masks():
+        return {p: d for p, d in tree_digests(root).items() if not p.startswith("out/masks/")}
+
+    before = outside_masks()
+    assert main(["slice", "--config", str(root / "config.json")]) == 2
+    assert f"{path}: subject id '../out/recon/s000' is not one plain path component" in capsys.readouterr().err
+    assert outside_masks() == before
+
+
+def test_reconstruct_subject_reaching_outside_masks_dir_is_data_error(small_run, tmp_path, capsys):
+    root = shutil.copytree(small_run[0], tmp_path / "run")
+    shutil.copytree(root / "out" / "masks" / "s000", root / "out" / "x")  # what masks_dir/../x names
+    assert main(["reconstruct", "--config", str(root / "config.json"), "--subject", "../x"]) == 2
+    assert "subject id '../x' is not one plain path component" in capsys.readouterr().err
+    assert not (root / "out" / "x.obj").exists()
 
 
 @pytest.mark.parametrize("replace", [lambda subjects: 5, sorted], ids=["number", "list-of-ids"])

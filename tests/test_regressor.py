@@ -13,6 +13,7 @@ from ssmrecon.regressor import (
     MlpParams,
     TrainConfig,
     _backprop_from_pre,
+    _forward_batch,
     forward,
     gradient,
     init_params,
@@ -21,6 +22,7 @@ from ssmrecon.regressor import (
     save_weights,
     train,
 )
+from ssmrecon.slicer import MaskStack
 
 
 def toy_batch(seed, n, d=12, k=3):
@@ -57,6 +59,19 @@ def test_all_off_input_with_zero_hidden_bias():
     p = init_params(8, 5, 3, seed=0)
     p = params_with(p.w1, np.zeros(5), p.w2, [0.3, 0.2, 0.1])
     assert np.allclose(forward(p, np.zeros(8)), [0.3, 0.2, 0.1])
+
+
+def test_forward_of_a_stack_is_its_batch_row():
+    """One stack goes through the gemv without a restack; the batch route gives the same bits."""
+    rng = np.random.default_rng(4)
+    masks = tuple((rng.random((16, 16)) < 0.4).astype(np.uint8) for _ in range(3))
+    stack = MaskStack(masks, (1.0, 1.0), (0.0, 0.0))
+    p = init_params(3 * 16 * 16, 8, 3, seed=5)
+    p = params_with(p.w1, rng.normal(size=8), p.w2, rng.normal(size=3))
+    assert forward(p, stack).tobytes() == _forward_batch(p, stack.flatten()[None])[1][0].tobytes()
+    small = MaskStack(masks[:2], (1.0, 1.0), (0.0, 0.0))
+    with pytest.raises(DataError, match=r"^input has 512 values, network expects 768$"):
+        forward(p, small)
 
 
 def test_dimension_mismatch_rejected():

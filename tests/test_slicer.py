@@ -319,6 +319,20 @@ def test_mixed_resolution_stack_refused():
         MaskStack((np.zeros((16, 16), dtype=np.uint8), np.zeros((32, 32), dtype=np.uint8)), (1.0, 1.0), (0.0, 0.0))
 
 
+@pytest.mark.parametrize(
+    "values",
+    [np.full((16, 16), 0.5), np.full((16, 16), 1.7), np.full((16, 16), 256), np.full((16, 16), -255)],
+    ids=["float-half", "float-1.7", "int-256", "int-minus-255"],
+)
+def test_nonbinary_values_rejected_before_the_uint8_cast(tmp_path, values):
+    """Checked as given: the cast reads 0.5 and 256 as 0, 1.7 and -255 as 1."""
+    with pytest.raises(DataError, match=r"masks must be binary \(0/1\)"):
+        MaskStack((values, values), (1.0, 1.0), (0.0, 0.0))
+    with pytest.raises(DataError, match="mask values must be 0 or 1"):
+        save_mask(values, tmp_path / "m.pgm")
+    assert not (tmp_path / "m.pgm").exists()
+
+
 def test_stack_round_trip(tmp_path, small_population, shared_window):
     protocol = SliceProtocol((0.35, 0.5, 0.65), shared_window, 48)
     stack = make_mask_stack(small_population[2], protocol)

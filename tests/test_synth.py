@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -81,3 +84,14 @@ def test_population_manifest_round_trip(tmp_path):
         assert doc["subjects"][sid]["volume_cm3"] == vols[i]
         loaded = M.load_mesh(tmp_path / f"{sid}.obj")
         assert M.signed_volume(loaded) == pytest.approx(vols[i], abs=1e-9)
+
+
+@pytest.mark.parametrize("sid", ["", ".", "..", "../s000", "a/b", "a\\b", "/abs"])
+def test_subject_id_must_be_one_path_component(tmp_path, sid):
+    cfg = SynthConfig(n=2, seed=8, jitter_levels=(1,))
+    path = write_population(*generate_population(cfg), cfg, tmp_path)
+    doc = json.loads(path.read_text())
+    doc["subjects"][sid] = doc["subjects"].pop("s001")
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=f"population.json: subject id {re.escape(repr(sid))} is not one plain path"):
+        load_population_manifest(tmp_path)

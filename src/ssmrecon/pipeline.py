@@ -11,8 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -32,25 +30,7 @@ from .slicer import (
     save_mask_stack,
     window_for_population,
 )
-
-
-def thread_count() -> int:
-    env = os.environ.get("SSMRECON_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"SSMRECON_THREADS must be an integer, got {env!r}") from exc
-    return max(1, os.cpu_count() or 1)
-
-
-def _parallel_map(fn, items):
-    items = list(items)
-    workers = min(thread_count(), len(items)) if items else 1
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+from .threads import parallel_map as _parallel_map  # perfbench's tracer replaces pipeline._parallel_map
 
 
 # ---------------------------------------------------------------------------

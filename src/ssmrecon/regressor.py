@@ -26,8 +26,11 @@ import numpy as np
 
 from . import sidecar
 from .errors import DataError, NumericalError
+from .threads import parallel_map, thread_count
 
 _W1_BLOCK_ROWS = 16  # rows of the final W1 built per product: 14 MB at 110,592 inputs
+_DRAW_PART_MIN = 1 << 20  # fewest initial weights one thread draws: smaller draws stay serial
+_DRAW_CHUNK = 1 << 15  # values drawn and scaled per pass: 256 kB, so the scaling reads cache, not memory
 
 
 def _all_finite(arr: np.ndarray) -> bool:
@@ -100,15 +103,50 @@ class TrainConfig:
             raise DataError("epochs and batch size must be >= 1")
 
 
+def _draw_uniform(bits: np.random.PCG64, out: np.ndarray, low: float, high: float) -> None:
+    """Fill the flat ``out`` as ``Generator(bits).uniform(low, high, out.size)`` would, advancing ``bits`` as far.
+
+    The values are drawn in parts of at least ``_DRAW_PART_MIN``, one per
+    thread, up to `thread_count` threads. Each part reads a copy of ``bits``
+    advanced to the part's first value, and `uniform` takes one 64-bit draw
+    per value, so the result is bit for bit one `uniform` call at any thread
+    count. A part is filled a cache-sized chunk at a time: `random`, then
+    ``*= high - low`` and ``+= low``, the two roundings `uniform` makes.
+    """
+    n_parts = max(1, min(thread_count(), out.size // _DRAW_PART_MIN))
+    bounds = [out.size * k // n_parts for k in range(n_parts + 1)]
+    state = bits.state
+
+    def fill(k: int) -> None:
+        part_bits = np.random.PCG64()
+        part_bits.state = state
+        part_bits.advance(bounds[k])
+        gen = np.random.Generator(part_bits)
+        for start in range(bounds[k], bounds[k + 1], _DRAW_CHUNK):
+            chunk = out[start : min(start + _DRAW_CHUNK, bounds[k + 1])]
+            gen.random(out=chunk)
+            chunk *= high - low
+            chunk += low
+
+    parallel_map(fill, range(n_parts))
+    bits.advance(out.size)
+
+
 def init_params(n_inputs: int, n_hidden: int, n_outputs: int, seed: int) -> MlpParams:
-    """Seeded symmetric-uniform (Glorot) weights, zero biases."""
-    rng = np.random.default_rng(seed)
+    """Seeded symmetric-uniform (Glorot) weights, zero biases.
+
+    The values are those of ``default_rng(seed)`` drawing W1 and then W2 with
+    `uniform`; W1 is drawn on threads by `_draw_uniform`.
+    """
+    bits = np.random.PCG64(seed)  # default_rng(seed) is Generator(PCG64(seed))
     lim1 = np.sqrt(6.0 / (n_inputs + n_hidden))
     lim2 = np.sqrt(6.0 / (n_hidden + n_outputs))
+    w1 = np.empty((n_hidden, n_inputs))
+    _draw_uniform(bits, w1.reshape(-1), -lim1, lim1)
     return MlpParams(
-        rng.uniform(-lim1, lim1, size=(n_hidden, n_inputs)),
+        w1,
         np.zeros(n_hidden),
-        rng.uniform(-lim2, lim2, size=(n_outputs, n_hidden)),
+        np.random.Generator(bits).uniform(-lim2, lim2, size=(n_outputs, n_hidden)),
         np.zeros(n_outputs),
     )
 

@@ -49,9 +49,11 @@ class ShapeSpace:
         mean = np.asarray(self.mean, dtype=np.float64).ravel()
         comp = np.asarray(self.components, dtype=np.float64)
         scale = np.asarray(self.score_scale, dtype=np.float64).ravel()
-        faces = np.asarray(self.faces, dtype=np.int64).reshape(-1, 3)
+        faces = np.asarray(self.faces, dtype=np.int64)
         if mean.size % 3:
             raise DataError("mean length must be a multiple of 3")
+        if faces.ndim != 2 or faces.shape[1] != 3 or len(faces) < 1:
+            raise DataError(f"faces must be an (F, 3) array with F >= 1, got shape {faces.shape}")
         check_face_indices(faces, mean.size // 3)
         if comp.shape != (mean.size, scale.size):
             raise DataError(
@@ -188,9 +190,12 @@ def load_ssm(path) -> ShapeSpace:
     """
     manifest, arrays = sidecar.load(path, "ssm", "shape space", _ssm_shapes, ("faces", "n_population"))
     try:
-        faces = np.asarray(manifest["faces"], dtype=np.int64).reshape(-1, 3)
         return ShapeSpace(
-            arrays["mean"], arrays["components"].T, arrays["score_scale"], faces, int(manifest["n_population"])
+            arrays["mean"],
+            arrays["components"].T,
+            arrays["score_scale"],
+            manifest["faces"],
+            int(manifest["n_population"]),
         )
     except (DataError, TypeError, ValueError) as exc:
         raise DataError(f"shape space manifest {sidecar._paths(path, 'ssm')[0]} is malformed: {exc!r}") from exc

@@ -5,10 +5,11 @@ point-to-triangle distance goes through plane/segment projections, mask
 fill classifies every pixel centre by ray parity, a section mask counts
 x-parallel ray crossings below the plane instead of cutting the mesh,
 volume comes from voxel column parity counting, the t CDF from
-adaptive Simpson quadrature, regressor training steps the full
-first-layer weight matrix (the primal form) instead of its dual
-coefficients, an OBJ file is written one formatted line at a time and read
-one line at a time, an icosphere is subdivided one face at a time
+adaptive Simpson quadrature, the initial weights come from one serial
+``uniform`` call per layer instead of threaded parts of the stream,
+regressor training steps the full first-layer weight matrix (the primal
+form) instead of its dual coefficients, an OBJ file is written one
+formatted line at a time and read one line at a time, an icosphere is subdivided one face at a time
 through a dict of edge midpoints, and a mesh's unmatched edges are counted
 with ``np.unique`` over row-sorted edge pairs.
 """
@@ -250,6 +251,23 @@ def t_cdf_by_quadrature(t, df):
     for a, b in zip(edges[:-1], edges[1:]):
         total += integrate(lambda x: _t_pdf(x, df), a, b)
     return 0.5 + total if t > 0 else 0.5 - total
+
+
+# ---------------------------------------------------------------------------
+# Initial weights from one serial `uniform` call per layer
+
+
+def init_params_by_uniform(n_inputs, n_hidden, n_outputs, seed):
+    """``regressor.init_params`` drawing W1 with a single ``rng.uniform`` call on one thread."""
+    rng = np.random.default_rng(seed)
+    lim1 = np.sqrt(6.0 / (n_inputs + n_hidden))
+    lim2 = np.sqrt(6.0 / (n_hidden + n_outputs))
+    return MlpParams(
+        rng.uniform(-lim1, lim1, size=(n_hidden, n_inputs)),
+        np.zeros(n_hidden),
+        rng.uniform(-lim2, lim2, size=(n_outputs, n_hidden)),
+        np.zeros(n_outputs),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,12 @@ import scipy.sparse.linalg
 from ssmrecon import pipeline, regressor, sidecar, stats, synth
 from ssmrecon.cli import main
 from ssmrecon.config import load_config
-from ssmrecon.errors import DataError
+from ssmrecon.errors import ConfigError, DataError
 from ssmrecon.metrics import rmse
 from ssmrecon.mesh import load_mesh, oriented_volume_mm3, signed_volume
 from ssmrecon.regressor import load_weights, save_weights
 from ssmrecon.shape_space import load_ssm, reconstruct
+from ssmrecon.threads import thread_count
 
 SMALL_DOC = {
     "paths": {
@@ -621,6 +622,39 @@ def test_shape_space_header_of_bad_value_exits_without_traceback(small_run, tmp_
         done = fresh(["-m", "ssmrecon.cli", *args])
         assert (done.returncode, "Traceback" in done.stderr) == (2, False), done.stderr
         assert f"{path.name} is malformed" in done.stderr
+
+
+@pytest.mark.parametrize("width", [2, 4], ids=["pairs", "quads"])
+def test_shape_space_faces_not_triangles_exit_without_traceback(small_run, tmp_path, width):
+    """Face indices regrouped in pairs or fours are rejected, not reshaped back into triangles."""
+    root = shutil.copytree(small_run[0], tmp_path / "run")
+    path = root / "out" / "model.ssm.json"
+    doc = json.loads(path.read_text())
+    flat = [i for face in doc["faces"] for i in face]
+    assert len(flat) % width == 0
+    doc["faces"] = [flat[k : k + width] for k in range(0, len(flat), width)]
+    path.write_text(json.dumps(doc))
+    config = str(root / "config.json")
+    for args in (["reconstruct", "--config", config, "--subject", "s000"], ["evaluate", "--config", config]):
+        done = fresh(["-m", "ssmrecon.cli", *args])
+        assert (done.returncode, "Traceback" in done.stderr) == (2, False), done.stderr
+        assert f"{path.name} is malformed" in done.stderr
+        assert f"faces must be an (F, 3) array with F >= 1, got shape ({len(doc['faces'])}, {width})" in done.stderr
+
+
+@pytest.mark.parametrize("threads", ["-3", "0"])
+def test_thread_cap_below_one_is_config_error(small_run, tmp_path, monkeypatch, capsys, threads):
+    """A cap below 1 is not read as 1: each command that would start a pool exits 1 and writes nothing."""
+    root = shutil.copytree(small_run[0], tmp_path / "run")
+    before = tree_digests(root)
+    monkeypatch.setenv("SSMRECON_THREADS", threads)
+    with pytest.raises(ConfigError, match=f"SSMRECON_THREADS must be >= 1, got '{threads}'"):
+        thread_count()
+    for command in ("slice", "train", "evaluate"):
+        assert main([command, "--config", str(root / "config.json")]) == 1, command
+        err = capsys.readouterr().err
+        assert err.startswith("config error: SSMRECON_THREADS must be >= 1") and "Traceback" not in err
+    assert tree_digests(root) == before
 
 
 def test_subject_id_reaching_outside_its_directory_writes_nothing(small_run, tmp_path, capsys):

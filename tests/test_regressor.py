@@ -1,13 +1,14 @@
 import dataclasses
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import primal_sgd_train
-from ssmrecon import regressor
+from oracles import init_params_by_uniform, primal_sgd_train
+from ssmrecon import regressor, threads
 from ssmrecon.errors import DataError, NumericalError
 from ssmrecon.regressor import (
     MlpParams,
@@ -329,6 +330,59 @@ def test_config_validation():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(DataError):
         TrainConfig(validation_fraction=1.0)
+
+
+# ---------------------------------------------------------------------------
+# initial weights
+
+
+def _assert_params_bit_equal(got: MlpParams, want: MlpParams) -> None:
+    for name in ("w1", "b1", "w2", "b2"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+class _CountingPool(ThreadPoolExecutor):
+    """A thread pool that records the worker count each draw asks for."""
+
+    workers: list = []
+
+    def __init__(self, max_workers):
+        self.workers.append(max_workers)
+        super().__init__(max_workers=max_workers)
+
+
+@pytest.mark.parametrize("cap", ["1", "2", "3"])
+@pytest.mark.parametrize(
+    "n_inputs, n_hidden, n_outputs, seed, parts_at_3",
+    [
+        (7, 3, 2, 1, 1),  # 21 values: under two parts' worth, so serial
+        (9, 5, 3, 4, 2),  # 45 values: two parts
+        (37, 5, 4, 11, 3),  # 185 values: three parts, each with a short last chunk
+        (1001, 13, 3, 2**31 - 2, 3),
+    ],
+)
+def test_init_params_bit_equal_to_one_uniform_call(
+    monkeypatch, cap, n_inputs, n_hidden, n_outputs, seed, parts_at_3
+):
+    """Parts of at least 16 values, drawn 5 at a time, give the serial stream at every thread cap."""
+    monkeypatch.setattr(regressor, "_DRAW_PART_MIN", 16)
+    monkeypatch.setattr(regressor, "_DRAW_CHUNK", 5)
+    monkeypatch.setattr(threads, "ThreadPoolExecutor", _CountingPool)
+    monkeypatch.setattr(_CountingPool, "workers", [])
+    monkeypatch.setenv("SSMRECON_THREADS", cap)
+    got = init_params(n_inputs, n_hidden, n_outputs, seed)
+    _assert_params_bit_equal(got, init_params_by_uniform(n_inputs, n_hidden, n_outputs, seed))
+    parts = min(int(cap), parts_at_3)
+    assert _CountingPool.workers == ([parts] if parts > 1 else [])
+
+
+@pytest.mark.parametrize("cap", ["1", "2", "3"])
+@pytest.mark.parametrize("n_inputs", [8191, 16385], ids=["one-part", "two-parts"])
+def test_init_params_bit_equal_at_the_part_floor(monkeypatch, cap, n_inputs):
+    """128 x 8,191 values, under 2^20, draw serially; 128 x 16,385 make two parts."""
+    monkeypatch.setenv("SSMRECON_THREADS", cap)
+    _assert_params_bit_equal(init_params(n_inputs, 128, 20, 5), init_params_by_uniform(n_inputs, 128, 20, 5))
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,14 @@ def test_interrupted_write_keeps_previous_file(tmp_path, monkeypatch, kind, fail
     assert _files(tmp_path) == before
 
 
+def test_payload_size_is_the_manifest_total(tmp_path, space20):
+    pairs = (save_weights(init_params(300, 7, 5, seed=3), tmp_path / "net"), save_ssm(space20, tmp_path / "model"))
+    for manifest, payload in pairs:
+        layout = sidecar.read_manifest(manifest, "test")["payload"]
+        assert payload.stat().st_size == 8 * sum(entry["count"] for entry in layout.values())
+        assert payload.stat().st_size == max(entry["offset"] + 8 * entry["count"] for entry in layout.values())
+
+
 # ---------------------------------------------------------------------------
 # boundary_edges keys
 

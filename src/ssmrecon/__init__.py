@@ -6,29 +6,4 @@ masks to shape parameters, reconstruct subject meshes and report volumes
 with paired statistics.
 """
 
-from .errors import ConfigError, DataError, NumericalError, SsmReconError
-from .mesh import Plane, TriMesh, load_mesh, save_mesh, signed_volume, surface_samples
-from .spatial import closest_points, nearest_surface_distance
-from .register import FitConfig, RigidTransform, generalized_procrustes, nonrigid_fit, rigid_align
-from .shape_space import ShapeSpace, build_ssm, load_ssm, project, reconstruct, save_ssm
-from .slicer import MaskStack, SliceProtocol, Window, cross_section, make_mask_stack, rasterize
-from .regressor import MlpParams, TrainConfig, forward, gradient, loss, train
-from .metrics import MaskMetrics, MeshMetrics, chamfer, mask_metrics, msd, rmse
-from .stats import PairedTestReport, paired_t_test, summary, t_cdf, t_quantile
-from .synth import SynthConfig, generate_population
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ConfigError", "DataError", "NumericalError", "SsmReconError",
-    "Plane", "TriMesh", "load_mesh", "save_mesh", "signed_volume", "surface_samples",
-    "closest_points", "nearest_surface_distance",
-    "FitConfig", "RigidTransform", "generalized_procrustes", "nonrigid_fit", "rigid_align",
-    "ShapeSpace", "build_ssm", "load_ssm", "project", "reconstruct", "save_ssm",
-    "MaskStack", "SliceProtocol", "Window", "cross_section", "make_mask_stack", "rasterize",
-    "MlpParams", "TrainConfig", "forward", "gradient", "loss", "train",
-    "MaskMetrics", "MeshMetrics", "chamfer", "mask_metrics", "msd", "rmse",
-    "PairedTestReport", "paired_t_test", "summary", "t_cdf", "t_quantile",
-    "SynthConfig", "generate_population",
-    "__version__",
-]

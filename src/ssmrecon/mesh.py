@@ -38,8 +38,12 @@ class TriMesh:
     faces: np.ndarray
 
     def __post_init__(self):
-        v = np.ascontiguousarray(np.asarray(self.vertices, dtype=np.float64)).reshape(-1, 3)
-        f = np.ascontiguousarray(np.asarray(self.faces, dtype=np.int64)).reshape(-1, 3)
+        v = np.ascontiguousarray(np.asarray(self.vertices, dtype=np.float64))
+        f = np.ascontiguousarray(np.asarray(self.faces, dtype=np.int64))
+        if v.ndim != 2 or v.shape[1] != 3:
+            raise DataError(f"vertices must be an (M, 3) array, got shape {v.shape}")
+        if f.ndim != 2 or f.shape[1] != 3:
+            raise DataError(f"faces must be an (F, 3) array, got shape {f.shape}")
         check_face_indices(f, len(v))
         if f.size:
             degenerate = (f[:, 0] == f[:, 1]) | (f[:, 1] == f[:, 2]) | (f[:, 0] == f[:, 2])
@@ -73,10 +77,6 @@ class TriMesh:
         if self.n_vertices == 0:
             raise DataError("empty mesh has no bounding box")
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
-
-    def bbox_diagonal(self) -> float:
-        lo, hi = self.bounds()
-        return float(np.linalg.norm(hi - lo))
 
     def centroid(self) -> np.ndarray:
         """Mean of the vertex positions (not the volumetric centroid)."""
@@ -264,12 +264,6 @@ def boundary_edges(mesh: TriMesh) -> np.ndarray:
     starts = np.flatnonzero(np.diff(keys, prepend=-1))  # keys are >= 0, so a run starts at 0
     bad = keys[starts[np.diff(starts, append=len(keys)) != 2]]
     return np.stack([bad // n, bad % n], axis=1)
-
-
-def is_closed(mesh: TriMesh) -> bool:
-    if mesh.is_empty:
-        return True
-    return len(mesh._boundary) == 0
 
 
 def validate_closed(mesh: TriMesh) -> None:

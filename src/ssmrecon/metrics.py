@@ -1,10 +1,11 @@
 """Mask- and mesh-level evaluation metrics.
 
 Mesh comparisons sample each surface area-uniformly and measure exact
-point-to-triangle distances against the other surface. Chamfer distance is
-the sum of the two directed mean distances; mean surface distance is their
-average, so msd == chamfer / 2 by construction. scipy is imported inside
-`mask_metrics`, so loading the package does not load it.
+point-to-triangle distances against the other surface. `mesh_metrics`
+returns both distances in one `MeshMetrics`: ``chamfer_mm`` is the sum of the
+two directed mean distances and ``msd_mm`` (mean surface distance) their
+average, so ``msd_mm == chamfer_mm / 2`` by construction. scipy is imported
+inside `mask_metrics`, so loading the package does not load it.
 """
 from __future__ import annotations
 
@@ -111,16 +112,6 @@ def _sampled(surface: Surface, n: int, seed: int) -> SampledSurface:
             f"this comparison asks for n={n}, seed={seed}"
         )
     return surface
-
-
-def chamfer(mesh_a: Surface, mesh_b: Surface, n: int = DEFAULT_SAMPLES, seed: int = 0) -> float:
-    """Sum of the two directed mean sample-to-surface distances (mm)."""
-    return mesh_metrics(mesh_a, mesh_b, n, seed).chamfer_mm
-
-
-def msd(mesh_a: Surface, mesh_b: Surface, n: int = DEFAULT_SAMPLES, seed: int = 0) -> float:
-    """Average of the two directed mean distances (mm); equals chamfer / 2."""
-    return mesh_metrics(mesh_a, mesh_b, n, seed).msd_mm
 
 
 def mesh_metrics(mesh_a: Surface, mesh_b: Surface, n: int = DEFAULT_SAMPLES, seed: int = 0) -> MeshMetrics:

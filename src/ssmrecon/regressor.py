@@ -184,10 +184,6 @@ def _head(pre: np.ndarray, w2: np.ndarray, b2: np.ndarray) -> tuple[np.ndarray, 
     return hidden, hidden @ w2.T + b2
 
 
-def _forward_batch(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return _head(x @ params.w1.T + params.b1, params.w2, params.b2)
-
-
 def _as_batch(pairs, n_inputs: int) -> tuple[np.ndarray, np.ndarray]:
     """(B, D) inputs and (B, K) targets of non-empty (input, target) pairs."""
     if not pairs:
@@ -211,23 +207,6 @@ def _backprop_from_pre(pre: np.ndarray, y: np.ndarray, w2: np.ndarray, b2: np.nd
     d_pred = 2.0 * (pred - y) / (len(pre) * len(b2))
     d_hidden = (d_pred @ w2) * (hidden > 0.0)
     return d_hidden, d_hidden.sum(axis=0), d_pred.T @ hidden, d_pred.sum(axis=0)
-
-
-def _backprop(params: MlpParams, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Fresh (g_w1, g_b1, g_w2, g_b2) arrays: the gradient of ``_mse``."""
-    d_hidden, g_b1, g_w2, g_b2 = _backprop_from_pre(x @ params.w1.T + params.b1, y, params.w2, params.b2)
-    return d_hidden.T @ x, g_b1, g_w2, g_b2
-
-
-def loss(params: MlpParams, batch) -> float:
-    """Mean over the batch of ||prediction - target||^2 / K."""
-    x, y = _as_batch(batch, params.n_inputs)
-    return _mse(_forward_batch(params, x)[1], y)
-
-
-def gradient(params: MlpParams, batch) -> MlpParams:
-    """Exact analytic gradient of ``loss`` with respect to every parameter."""
-    return MlpParams(*_backprop(params, *_as_batch(batch, params.n_inputs)))
 
 
 @dataclass

@@ -233,11 +233,6 @@ def loop_area(loop: np.ndarray) -> float:
     return 0.5 * float(np.sum(y * np.roll(z, -1) - np.roll(y, -1) * z))
 
 
-def section_area(loops: list[np.ndarray]) -> float:
-    """Net enclosed area of a section: outer loops add, holes subtract."""
-    return sum(loop_area(loop) for loop in loops)
-
-
 # ---------------------------------------------------------------------------
 # Rasterization
 

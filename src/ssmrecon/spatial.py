@@ -4,13 +4,13 @@
 centroids, with k-nearest-neighbour calls and a ball query for the few
 largest balls, prunes them by a lower bound on the distance
 to each triangle (the slab-disc that holds it), then refines exactly;
-`closest_points_brute` evaluates every triangle and is the test oracle. Both
-return the closest point of the face with the smallest squared distance and,
-among tied faces, the lowest face id, so their points agree bit for bit. A
-query runs in blocks of at most a fixed number of points, so its working
-memory is set by the block size, not by the number of points. scipy is
-imported where the tree is built, so commands that never index a surface
-start without it.
+it returns the closest point of the face with the smallest squared distance
+and, among tied faces, the lowest face id. The test oracle
+``tests/oracles.py::closest_points_brute`` evaluates every triangle under the
+same rule, so their points agree bit for bit. A query runs in blocks of at
+most a fixed number of points, so its working memory is set by the block
+size, not by the number of points. scipy is imported where the tree is
+built, so commands that never index a surface start without it.
 """
 from __future__ import annotations
 
@@ -127,36 +127,6 @@ def closest_on_triangles(points: np.ndarray, tri: np.ndarray) -> np.ndarray:
     return out
 
 
-def closest_points_brute(points: np.ndarray, mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
-    """Exact closest surface points by evaluating every triangle.
-
-    Returns (closest, distances). Quadratic in points x faces; the oracle for
-    `SurfaceIndex`. Among tied faces the lowest face id wins.
-    """
-    if mesh.is_empty:
-        raise DataError("cannot query an empty mesh")
-    p = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    tri = mesh.triangle_corners()
-    n, f = len(p), len(tri)
-    best_d2 = np.full(n, np.inf)
-    best_pt = np.zeros((n, 3))
-    # chunk faces to bound the (n * chunk) working set to ~100 MB
-    chunk = max(1, int(500_000 / max(n, 1)))
-    for start in range(0, f, chunk):
-        t = tri[start : start + chunk]
-        m = len(t)
-        pp = np.repeat(p, m, axis=0)
-        tt = np.tile(t, (n, 1, 1))
-        cand = closest_on_triangles(pp, tt).reshape(n, m, 3)
-        d2 = ((cand - p[:, None, :]) ** 2).sum(axis=2)
-        idx = d2.argmin(axis=1)
-        dmin = d2[np.arange(n), idx]
-        better = dmin < best_d2
-        best_d2[better] = dmin[better]
-        best_pt[better] = cand[np.arange(n), idx][better]
-    return best_pt, np.sqrt(best_d2)
-
-
 class SurfaceIndex:
     """Exact nearest-surface queries accelerated by a centroid k-d tree.
 
@@ -166,8 +136,9 @@ class SurfaceIndex:
     face in it is then bounded from below by the slab-disc that holds its
     triangle, and only faces whose bound does not exceed the upper bound are
     tested exactly. The winner is the smallest squared distance, ties going
-    to the lowest face id: the rule of `closest_points_brute`, so points and
-    distances match it exactly.
+    to the lowest face id: the rule of the exhaustive test oracle
+    ``tests/oracles.py::closest_points_brute``, so points and distances match
+    it exactly.
 
     The ball is gathered with k-nearest-neighbour calls, which return whole
     arrays and release the interpreter lock once per call, so the queries of
@@ -309,14 +280,3 @@ class SurfaceIndex:
         closest[owners[first]] = cand[first]
         distances[owners[first]] = np.sqrt(d2[first])
         return closest, distances
-
-
-def closest_points(points: np.ndarray, mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
-    """One-shot accelerated exact query; build a SurfaceIndex for repeated use."""
-    return SurfaceIndex(mesh).query(points)
-
-
-def nearest_surface_distance(point, mesh: TriMesh) -> float:
-    """Exact minimum distance (mm) from a single point to the mesh surface."""
-    _, d = closest_points(np.asarray(point, dtype=np.float64).reshape(1, 3), mesh)
-    return float(d[0])

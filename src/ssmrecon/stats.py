@@ -6,7 +6,6 @@ package does not load scipy. Sample statistics use the n-1 divisor.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -38,9 +37,6 @@ class PairedTestReport:
             "df": self.df,
             "p": self.p,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
 
     def text_row(self, label: str) -> str:
         """Fixed-column row: mu, std, SEM, 95% CI, t, df, two-tailed p."""

@@ -1,17 +1,27 @@
 """Independent reference implementations used only to check the package.
 
-Each oracle takes a different computational route from the code it checks:
-point-to-triangle distance goes through plane/segment projections, mask
-fill classifies every pixel centre by ray parity, a section mask counts
-x-parallel ray crossings below the plane instead of cutting the mesh,
-volume comes from voxel column parity counting, the t CDF from
-adaptive Simpson quadrature, the initial weights come from one serial
+Every reference path lives here; the package ships only what the CLI stages
+run. Each oracle takes a different computational route from the code it
+checks: point-to-triangle distance goes through plane/segment projections,
+closest surface points come from testing every triangle
+(``closest_points_brute``, under ``SurfaceIndex``'s tie rule so the two agree
+bit for bit), mask fill classifies every pixel centre by ray parity, a
+section mask counts x-parallel ray crossings below the plane instead of
+cutting the mesh, volume comes from voxel column parity counting, the t CDF
+from adaptive Simpson quadrature, the initial weights come from one serial
 ``uniform`` call per layer instead of threaded parts of the stream,
 regressor training steps the full first-layer weight matrix (the primal
 form) instead of its dual coefficients, an OBJ file is written one
-formatted line at a time and read one line at a time, an icosphere is subdivided one face at a time
-through a dict of edge midpoints, and a mesh's unmatched edges are counted
-with ``np.unique`` over row-sorted edge pairs.
+formatted line at a time and read one line at a time, an icosphere is
+subdivided one face at a time through a dict of edge midpoints, and a
+mesh's unmatched edges are counted with ``np.unique`` over row-sorted edge
+pairs.
+
+``loss`` and ``gradient`` are the regressor's mean squared error and its
+analytic gradient with respect to the full parameters. They are built from
+the trainer's own kernels (``_head``, ``_mse``, ``_backprop_from_pre``), so
+a finite-difference check of ``gradient`` against ``loss`` checks what
+training runs.
 """
 import math
 
@@ -19,7 +29,17 @@ import numpy as np
 
 from ssmrecon.errors import DataError, NumericalError
 from ssmrecon.mesh import TriMesh, icosphere
-from ssmrecon.regressor import MlpParams, TrainingLog, _as_batch, _backprop, _flat_input, _forward_batch, init_params
+from ssmrecon.regressor import (
+    MlpParams,
+    TrainingLog,
+    _as_batch,
+    _backprop_from_pre,
+    _flat_input,
+    _head,
+    _mse,
+    init_params,
+)
+from ssmrecon.spatial import closest_on_triangles
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +82,41 @@ def point_triangle_distance(p, tri):
 def brute_nearest_distance(p, mesh):
     tri = mesh.triangle_corners()
     return min(point_triangle_distance(p, tri[i]) for i in range(len(tri)))
+
+
+# ---------------------------------------------------------------------------
+# Closest points by testing every triangle
+
+
+def closest_points_brute(points, mesh):
+    """Exact closest surface points by evaluating every triangle.
+
+    Returns (closest, distances). Quadratic in points x faces; the oracle for
+    `SurfaceIndex`, with its rule: the smallest squared distance wins, and
+    among tied faces the lowest face id, so the two agree bit for bit.
+    """
+    if mesh.is_empty:
+        raise DataError("cannot query an empty mesh")
+    p = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    tri = mesh.triangle_corners()
+    n, f = len(p), len(tri)
+    best_d2 = np.full(n, np.inf)
+    best_pt = np.zeros((n, 3))
+    # chunk faces to bound the (n * chunk) working set to ~100 MB
+    chunk = max(1, int(500_000 / max(n, 1)))
+    for start in range(0, f, chunk):
+        t = tri[start : start + chunk]
+        m = len(t)
+        pp = np.repeat(p, m, axis=0)
+        tt = np.tile(t, (n, 1, 1))
+        cand = closest_on_triangles(pp, tt).reshape(n, m, 3)
+        d2 = ((cand - p[:, None, :]) ** 2).sum(axis=2)
+        idx = d2.argmin(axis=1)
+        dmin = d2[np.arange(n), idx]
+        better = dmin < best_d2
+        best_d2[better] = dmin[better]
+        best_pt[better] = cand[np.arange(n), idx][better]
+    return best_pt, np.sqrt(best_d2)
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +323,32 @@ def init_params_by_uniform(n_inputs, n_hidden, n_outputs, seed):
         rng.uniform(-lim2, lim2, size=(n_outputs, n_hidden)),
         np.zeros(n_outputs),
     )
+
+
+# ---------------------------------------------------------------------------
+# Loss and gradient of the full parameters, on the trainer's own kernels
+
+
+def _forward_batch(params, x):
+    """Hidden activations and predictions of the (B, D) inputs ``x``."""
+    return _head(x @ params.w1.T + params.b1, params.w2, params.b2)
+
+
+def _backprop(params, x, y):
+    """Fresh (g_w1, g_b1, g_w2, g_b2) arrays: the gradient of ``_mse``."""
+    d_hidden, g_b1, g_w2, g_b2 = _backprop_from_pre(x @ params.w1.T + params.b1, y, params.w2, params.b2)
+    return d_hidden.T @ x, g_b1, g_w2, g_b2
+
+
+def loss(params, batch):
+    """Mean over the batch of ||prediction - target||^2 / K."""
+    x, y = _as_batch(batch, params.n_inputs)
+    return _mse(_forward_batch(params, x)[1], y)
+
+
+def gradient(params, batch):
+    """Exact analytic gradient of ``loss`` with respect to every parameter."""
+    return MlpParams(*_backprop(params, *_as_batch(batch, params.n_inputs)))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from conftest import random_rotation
 from oracles import (
     boundary_edges_by_unique,
     brute_nearest_distance,
+    closest_points_brute,
     icosphere_by_dict,
     load_mesh_by_lines,
     save_mesh_by_lines,
@@ -15,7 +16,7 @@ from oracles import (
 
 from ssmrecon import mesh as M
 from ssmrecon.errors import DataError
-from ssmrecon.spatial import SurfaceIndex, closest_points_brute, nearest_surface_distance
+from ssmrecon.spatial import SurfaceIndex
 
 
 # ---------------------------------------------------------------------------
@@ -30,6 +31,15 @@ def test_face_index_out_of_range_rejected():
 def test_degenerate_face_rejected():
     with pytest.raises(DataError, match="degenerate"):
         M.TriMesh(np.zeros((3, 3)), [[0, 1, 1]])
+
+
+def test_arrays_without_three_columns_rejected():
+    """A (6, 2) array holds 12 values, as four rows of three would: it is refused, not reshaped."""
+    tet = M.TriMesh(np.eye(4, 3), [[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]])
+    with pytest.raises(DataError, match=r"faces must be an \(F, 3\) array, got shape \(6, 2\)"):
+        M.TriMesh(tet.vertices, tet.faces.reshape(-1, 2))
+    with pytest.raises(DataError, match=r"vertices must be an \(M, 3\) array, got shape \(6, 2\)"):
+        M.TriMesh(tet.vertices.reshape(-1, 2), tet.faces)
 
 
 def test_vertices_are_immutable(centered_cube):
@@ -372,11 +382,11 @@ def test_sampling_empty_mesh_rejected():
 
 
 def test_distance_zero_at_vertex(icosphere10):
-    assert nearest_surface_distance(icosphere10.vertices[17], icosphere10) == pytest.approx(0.0, abs=1e-12)
+    assert SurfaceIndex(icosphere10).query(np.reshape(icosphere10.vertices[17], (1, 3)))[1][0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_distance_above_cube_top(centered_cube):
-    assert nearest_surface_distance([0.0, 0.0, 15.0], centered_cube) == pytest.approx(10.0, abs=1e-12)
+    assert SurfaceIndex(centered_cube).query(np.reshape([0.0, 0.0, 15.0], (1, 3)))[1][0] == pytest.approx(10.0, abs=1e-12)
 
 
 def test_accelerated_matches_brute_force(icosphere10):
@@ -390,7 +400,8 @@ def test_accelerated_matches_brute_force(icosphere10):
 
 def test_distance_matches_independent_oracle(centered_cube):
     rng = np.random.default_rng(12)
+    index = SurfaceIndex(centered_cube)
     for p in rng.uniform(-12, 12, size=(40, 3)):
-        got = nearest_surface_distance(p, centered_cube)
+        got = index.query(np.reshape(p, (1, 3)))[1][0]
         want = brute_nearest_distance(p, centered_cube)
         assert got == pytest.approx(want, abs=1e-9)

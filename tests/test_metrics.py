@@ -8,7 +8,7 @@ from conftest import random_rotation
 
 from ssmrecon import mesh as M
 from ssmrecon.errors import DataError
-from ssmrecon.metrics import chamfer, mask_metrics, mesh_metrics, msd, rmse, sampled_surface
+from ssmrecon.metrics import mask_metrics, mesh_metrics, rmse, sampled_surface
 
 
 # ---------------------------------------------------------------------------
@@ -99,31 +99,31 @@ def test_hausdorff_triangle_inequality():
 
 
 def test_identical_meshes_zero(icosphere10):
-    assert chamfer(icosphere10, icosphere10, 2000, 0) < 1e-9
-    assert msd(icosphere10, icosphere10, 2000, 0) < 1e-9
+    assert mesh_metrics(icosphere10, icosphere10, 2000, 0).chamfer_mm < 1e-9
+    assert mesh_metrics(icosphere10, icosphere10, 2000, 0).msd_mm < 1e-9
 
 
 def test_nested_spheres_analytic():
     inner = M.icosphere(10.0, 4)
     outer = M.icosphere(12.0, 4)
-    assert chamfer(inner, outer, 8000, 1) == pytest.approx(4.0, rel=0.02)
-    assert msd(inner, outer, 8000, 1) == pytest.approx(2.0, rel=0.02)
+    assert mesh_metrics(inner, outer, 8000, 1).chamfer_mm == pytest.approx(4.0, rel=0.02)
+    assert mesh_metrics(inner, outer, 8000, 1).msd_mm == pytest.approx(2.0, rel=0.02)
 
 
 def test_chamfer_symmetric_exactly(blob_pair):
     a, b = blob_pair
-    assert chamfer(a, b, 2000, 7) == chamfer(b, a, 2000, 7)
+    assert mesh_metrics(a, b, 2000, 7).chamfer_mm == mesh_metrics(b, a, 2000, 7).chamfer_mm
 
 
 def test_msd_is_half_chamfer_exactly(blob_pair):
     a, b = blob_pair
-    assert msd(a, b, 2000, 7) == chamfer(a, b, 2000, 7) / 2.0
+    assert mesh_metrics(a, b, 2000, 7).msd_mm == mesh_metrics(a, b, 2000, 7).chamfer_mm / 2.0
 
 
 def test_mesh_metrics_consistent(blob_pair):
     a, b = blob_pair
     both = mesh_metrics(a, b, 2000, 7)
-    assert both.chamfer_mm == chamfer(a, b, 2000, 7)
+    assert both.chamfer_mm == mesh_metrics(a, b, 2000, 7).chamfer_mm
     assert both.msd_mm == both.chamfer_mm / 2.0
 
 
@@ -134,7 +134,7 @@ def test_mesh_metrics_from_prepared_surfaces_exact(blob_pair):
     assert mesh_metrics(prep_a, prep_b, 2000, 7) == both
     assert mesh_metrics(a, prep_b, 2000, 7) == both
     assert mesh_metrics(prep_a, b, 2000, 7) == both
-    assert chamfer(prep_a, prep_b, 2000, 7) == both.chamfer_mm
+    assert mesh_metrics(prep_a, prep_b, 2000, 7).chamfer_mm == both.chamfer_mm
 
 
 @pytest.mark.parametrize("n, seed", [(500, 7), (2000, 1)])
@@ -146,19 +146,19 @@ def test_prepared_surface_sampled_differently_rejected(blob_pair, n, seed):
 
 def test_rigid_motion_invariance(blob_pair):
     a, b = blob_pair
-    base = chamfer(a, b, 4000, 3)
+    base = mesh_metrics(a, b, 4000, 3).chamfer_mm
     rng = np.random.default_rng(8)
     rot = random_rotation(rng)
     shift = rng.uniform(-30, 30, 3)
     a2 = a.with_vertices(a.vertices @ rot.T + shift)
     b2 = b.with_vertices(b.vertices @ rot.T + shift)
-    assert chamfer(a2, b2, 4000, 3) == pytest.approx(base, rel=0.01)
+    assert mesh_metrics(a2, b2, 4000, 3).chamfer_mm == pytest.approx(base, rel=0.01)
 
 
 def test_empty_mesh_rejected(icosphere10):
     empty = M.TriMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
     with pytest.raises(DataError):
-        chamfer(icosphere10, empty)
+        mesh_metrics(icosphere10, empty).chamfer_mm
 
 
 # ---------------------------------------------------------------------------

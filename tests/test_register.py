@@ -104,7 +104,7 @@ def test_fit_recovers_rigid_motion(blob_pair):
     for shift in ([5.0, -3.0, 8.0], [300.0, -250.0, 320.0]):
         target = template.with_vertices(template.vertices @ rot.T + np.array(shift))
         fitted, log = nonrigid_fit(template, target, return_log=True)
-        assert metrics.msd(fitted, target, 4000, 0) < 0.1
+        assert metrics.mesh_metrics(fitted, target, 4000, 0).msd_mm < 0.1
         assert log.plane_rounds > 0 and not log.plane_capped
 
 
@@ -137,7 +137,7 @@ def test_fit_tracks_smooth_bump(blob_pair):
     bump = 1.0 + 0.10 * np.exp(-(((u[:, 0] - 1.0) ** 2) + u[:, 1] ** 2 + u[:, 2] ** 2) / 0.3)
     target = template.with_vertices(centre + v * bump[:, None])
     fitted = nonrigid_fit(template, target)
-    assert metrics.msd(fitted, target, 4000, 0) < 0.02 * target.bbox_diagonal()
+    assert metrics.mesh_metrics(fitted, target, 4000, 0).msd_mm < 0.02 * np.linalg.norm(np.ptp(target.vertices, axis=0))
 
 
 def test_fit_preserves_topology(blob_pair):

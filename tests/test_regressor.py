@@ -7,19 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import init_params_by_uniform, primal_sgd_train
+from oracles import _forward_batch, gradient, init_params_by_uniform, loss, primal_sgd_train
 from ssmrecon import regressor, threads
 from ssmrecon.errors import DataError, NumericalError
 from ssmrecon.regressor import (
     MlpParams,
     TrainConfig,
     _backprop_from_pre,
-    _forward_batch,
     forward,
-    gradient,
     init_params,
     load_weights,
-    loss,
     save_weights,
     train,
 )

@@ -81,7 +81,7 @@ def test_full_rank_space_reproduces_members(aligned_population_20):
     space = build_ssm(aligned_population_20, 19)
     for mesh in aligned_population_20:
         rebuilt = reconstruct(space, project(space, mesh))
-        rel = np.abs(rebuilt.vertices - mesh.vertices).max() / mesh.bbox_diagonal()
+        rel = np.abs(rebuilt.vertices - mesh.vertices).max() / np.linalg.norm(np.ptp(mesh.vertices, axis=0))
         assert rel < 1e-8
 
 
@@ -106,7 +106,7 @@ def test_reconstruction_error_decreases_with_k(aligned_population_20):
     for k in (5, 10, 18):
         space = build_ssm(training, k)
         rebuilt = reconstruct(space, project(space, held_out))
-        errors.append(metrics.msd(rebuilt, held_out, 2000, 0))
+        errors.append(metrics.mesh_metrics(rebuilt, held_out, 2000, 0).msd_mm)
     assert errors[0] >= errors[1] >= errors[2]
 
 

@@ -9,13 +9,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import closest_points_brute
 from ssmrecon import mesh as M
 from ssmrecon import sidecar
 from ssmrecon.errors import DataError
 from ssmrecon.regressor import MlpParams, init_params, load_weights, save_weights
 from ssmrecon.shape_space import build_ssm, load_ssm, save_ssm
 from ssmrecon.slicer import MaskStack, SliceProtocol, Window, save_mask, save_mask_stack
-from ssmrecon.spatial import _KNN_K, _QUERY_BLOCK_POINTS, MAX_COORDINATE_MM, SurfaceIndex, closest_points, closest_points_brute
+from ssmrecon.spatial import _KNN_K, _QUERY_BLOCK_POINTS, MAX_COORDINATE_MM, SurfaceIndex
 
 
 @pytest.fixture(scope="module")
@@ -264,7 +265,8 @@ def test_boundary_edges_match_row_unique_on_holey_mesh():
     assert len(want) > 6
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
-    assert not M.is_closed(holey)
+    with pytest.raises(DataError, match="not closed"):
+        M.validate_closed(holey)
 
 
 def test_boundary_edges_closed_and_empty():
@@ -412,7 +414,7 @@ def test_non_finite_query_point_is_data_error(bad):
     with pytest.raises(DataError, match="finite"):
         SurfaceIndex(mesh).query(np.array([[0.0, 0.0, 0.0], [bad, 0.0, 0.0]]))
     with pytest.raises(DataError, match="finite"):
-        closest_points([[bad, 0.0, 0.0]], mesh)
+        SurfaceIndex(mesh).query([[bad, 0.0, 0.0]])
 
 
 @pytest.mark.parametrize("mesh", [M.icosphere(40.0, 2), _triangle_soup("sliver", 0)], ids=["icosphere-2", "sliver-soup"])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import t_cdf_by_quadrature
 
+from ssmrecon import sidecar
 from ssmrecon.errors import DataError
 from ssmrecon.stats import (
     PairedTestReport,
@@ -199,9 +200,10 @@ def test_input_validation():
 # report serialization
 
 
-def test_report_json_round_trip():
+def test_report_json_round_trip(tmp_path):
     report = report_from_moments(78.1, 268.4, 35)
-    doc = json.loads(report.to_json())
+    sidecar.write_json(tmp_path / "report.json", report.as_dict())
+    doc = json.loads((tmp_path / "report.json").read_text())
     assert doc["n"] == 35
     assert doc["df"] == 34
     assert doc["mean_diff"] == report.mean_diff

@@ -7,13 +7,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError, DataError
 from .metrics import DEFAULT_SAMPLES
-from .register import FitConfig
 from .regressor import TrainConfig
 from .slicer import check_protocol
 from .synth import SynthConfig
@@ -75,7 +75,6 @@ class EvaluateSection:
 class PipelineConfig:
     paths: PathsConfig
     synth: SynthConfig
-    fit: FitConfig
     ssm: SsmSection
     slicer: SlicerSection
     train: TrainSection
@@ -133,6 +132,9 @@ def _build_section(name: str, cls, payload: dict):
                 # every integer is a count, a size, a level or a seed
                 if kind is int and item < 0:
                     raise ConfigError(f"bad value in section {name!r}: {key} must not be negative, got {item!r}")
+                # NaN, an infinity and an integer past the float range all fail this comparison
+                if kind is float and not abs(item) <= sys.float_info.max:
+                    raise ConfigError(f"bad value in section {name!r}: {key} must be finite, got {item!r}")
         if isinstance(value, list):
             value = tuple(value)
         converted[key] = value

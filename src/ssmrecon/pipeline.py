@@ -104,14 +104,15 @@ def cmd_build_ssm(cfg: PipelineConfig) -> Path:
         raise DataError("need at least 2 subjects to build a shape space")
     reference = _subject_mesh(cfg, train[0])
     try:
-        smoothing_system(reference, cfg.fit.smoothness)
+        smoothing_system(reference)
     except DataError as exc:
         raise DataError(f"subject {train[0]}: {exc}") from exc
 
     def fit_one(sid: str) -> tuple[TriMesh, TriMesh]:
         mesh = reference if sid == train[0] else _subject_mesh(cfg, sid)
         try:
-            return mesh, nonrigid_fit(reference, mesh, cfg.fit)
+            fitted, _ = nonrigid_fit(reference, mesh)
+            return mesh, fitted
         except (DataError, NumericalError) as exc:
             raise type(exc)(f"subject {sid}: {exc}") from exc
 

@@ -21,6 +21,10 @@ from .spatial import SurfaceIndex
 _DEGENERATE_RTOL = 1e-12
 _GPA_MAX_ROUNDS = 50  # generalized Procrustes rounds before the mean shape must have settled
 _ICP_MAX_ROUNDS = 60  # rounds of each rigid initialisation phase before it counts as capped
+_FIT_ITERATIONS = 50  # non-rigid iterations of one fit at most
+_FIT_SMOOTHNESS = 1.0  # weight of the Laplacian term in each displacement solve
+_FIT_DAMPING = 0.5  # share of each solved displacement that is applied
+_FIT_TOL_MM = 0.01  # a fit ends when its mean applied step drops below this
 
 # Held while a template's smoothing system is factored, so that fits sharing a template on
 # different threads factor it once between them.
@@ -46,24 +50,6 @@ class RigidTransform:
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         return np.asarray(points, dtype=np.float64) @ self.rotation.T + self.translation
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    """Knobs for the non-rigid template fit."""
-
-    iterations: int = 50
-    smoothness: float = 1.0
-    damping: float = 0.5
-    tol_mm: float = 0.01
-
-    def __post_init__(self):
-        if self.iterations < 1:
-            raise DataError("iterations must be >= 1")
-        if self.smoothness < 0:
-            raise DataError("smoothness must be >= 0")
-        if not (0.0 < self.damping <= 1.0):
-            raise DataError("damping must be in (0, 1]")
 
 
 def rigid_align(source: np.ndarray, target: np.ndarray) -> RigidTransform:
@@ -110,28 +96,27 @@ def _uniform_laplacian(mesh: TriMesh):
     return (sp.identity(mesh.n_vertices, format="csr") - dinv @ a).tocsr()
 
 
-def smoothing_system(template: TriMesh, smoothness: float):
-    """``(L, solve)``: the template's Laplacian and a solver for ``I + smoothness * L^T L``.
+def smoothing_system(template: TriMesh):
+    """``(L, solve)``: the template's Laplacian and a solver for ``I + _FIT_SMOOTHNESS * L^T L``.
 
-    The system depends only on the template's immutable faces and the
-    weight, so it is factored once per (template, smoothness) and kept on
-    the template, like its closedness: every fit onto it, on any thread,
-    shares the one factorization, and its solves give the bits a fresh one
-    would. scipy's SuperLU factor leaks its memory when it is freed on
-    another thread than the one that made it (about 7 MB for a 2,562-vertex
-    template, scipy 1.17), so a caller that fits on a pool calls this first,
-    on the thread that holds the template, as ``cmd_build_ssm`` does.
+    The system depends only on the template's immutable faces, so it is
+    factored once per template and kept on it, like its closedness: every
+    fit onto it, on any thread, shares the one factorization, and its solves
+    give the bits a fresh one would. scipy's SuperLU factor leaks its memory
+    when it is freed on another thread than the one that made it (about 7 MB
+    for a 2,562-vertex template, scipy 1.17), so a caller that fits on a
+    pool calls this first, on the thread that holds the template, as
+    ``cmd_build_ssm`` does.
     """
     import scipy.sparse as sp
     from scipy.sparse.linalg import factorized
 
     with _FACTOR_LOCK:
-        systems = template.__dict__.setdefault("_smoothing_systems", {})
-        if smoothness not in systems:
+        if "_smoothing_system" not in template.__dict__:
             lap = _uniform_laplacian(template)
-            system = sp.identity(template.n_vertices, format="csc") + smoothness * (lap.T @ lap).tocsc()
-            systems[smoothness] = lap, factorized(system)
-        return systems[smoothness]
+            system = sp.identity(template.n_vertices, format="csc") + _FIT_SMOOTHNESS * (lap.T @ lap).tocsc()
+            template.__dict__["_smoothing_system"] = lap, factorized(system)
+        return template.__dict__["_smoothing_system"]
 
 
 @dataclass
@@ -152,12 +137,13 @@ class FitLog:
     vertex_capped: bool = False
 
 
-def _icp_rounds(v: np.ndarray, match_fn, step_fn, tol: float, max_rounds: int) -> tuple[np.ndarray, int]:
+def _icp_rounds(v: np.ndarray, match_fn, step_fn, max_rounds: int) -> tuple[np.ndarray, int]:
     """Apply ``step_fn(v, *match_fn(v))`` until the mean distance stalls.
 
-    A step of None keeps the current pose and ends the rounds. Returns the
-    pose and the number of steps applied, which is ``max_rounds`` exactly
-    when the cap ended the rounds.
+    The distance stalls when a round improves it by under 1% of
+    ``_FIT_TOL_MM``. A step of None keeps the current pose and ends the
+    rounds. Returns the pose and the number of steps applied, which is
+    ``max_rounds`` exactly when the cap ended the rounds.
     """
     prev = np.inf
     for r in range(max_rounds):
@@ -165,7 +151,7 @@ def _icp_rounds(v: np.ndarray, match_fn, step_fn, tol: float, max_rounds: int) -
         mean_d = float(dist.mean())
         if not np.isfinite(mean_d):
             raise NumericalError("non-finite distances during rigid initialisation")
-        if prev - mean_d < 0.01 * tol:
+        if prev - mean_d < 0.01 * _FIT_TOL_MM:
             return v, r
         prev = mean_d
         step = step_fn(v, matched, dist)
@@ -210,7 +196,7 @@ def _kabsch_step(v: np.ndarray, matched: np.ndarray, dist: np.ndarray) -> RigidT
         return None  # near-degenerate correspondences: keep current pose
 
 
-def _rigid_icp_init(vertices: np.ndarray, index: SurfaceIndex, tol: float, log: FitLog) -> np.ndarray:
+def _rigid_icp_init(vertices: np.ndarray, index: SurfaceIndex, log: FitLog) -> np.ndarray:
     """Centroid shift, point-to-plane rounds, then nearest-vertex Kabsch rounds.
 
     Each plane round matches every vertex to its closest surface point and
@@ -219,43 +205,38 @@ def _rigid_icp_init(vertices: np.ndarray, index: SurfaceIndex, tol: float, log: 
     nearest-vertex phase follows: once the pose error drops under the vertex
     spacing those pairs become the true correspondence and the remaining
     motion is recovered essentially exactly. Both phases stop when the mean
-    distance improves by less than 1% of ``tol``, or after ``_ICP_MAX_ROUNDS``;
+    distance improves by less than 1% of ``_FIT_TOL_MM``, or after ``_ICP_MAX_ROUNDS``;
     ``log`` records the steps and caps of each.
     """
     from scipy.spatial import cKDTree
 
     v = vertices + (index.mesh.centroid() - vertices.mean(axis=0))
-    v, log.plane_rounds = _icp_rounds(v, index.query, _plane_step, tol, _ICP_MAX_ROUNDS)
+    v, log.plane_rounds = _icp_rounds(v, index.query, _plane_step, _ICP_MAX_ROUNDS)
     vertex_tree = cKDTree(index.mesh.vertices)
 
     def match_vertices(x):
         dist, idx = vertex_tree.query(x)
         return index.mesh.vertices[idx], dist
 
-    v, log.vertex_rounds = _icp_rounds(v, match_vertices, _kabsch_step, tol, _ICP_MAX_ROUNDS)
+    v, log.vertex_rounds = _icp_rounds(v, match_vertices, _kabsch_step, _ICP_MAX_ROUNDS)
     log.plane_capped = log.plane_rounds == _ICP_MAX_ROUNDS
     log.vertex_capped = log.vertex_rounds == _ICP_MAX_ROUNDS
     return v
 
 
-def nonrigid_fit(
-    template: TriMesh,
-    target: TriMesh,
-    cfg: FitConfig = FitConfig(),
-    return_log: bool = False,
-):
-    """Deform ``template`` onto the surface of ``target``.
+def nonrigid_fit(template: TriMesh, target: TriMesh) -> tuple[TriMesh, FitLog]:
+    """Deform ``template`` onto the surface of ``target``; returns ``(fitted, log)``.
 
-    Returns a mesh with the template's topology. Each iteration matches every
+    The fitted mesh has the template's topology. Each iteration matches every
     template vertex to its nearest point on the target surface and solves
 
-        min_d  sum ||d_i - c_i||^2 + smoothness * sum ||(L d)_i||^2
+        min_d  sum ||d_i - c_i||^2 + _FIT_SMOOTHNESS * sum ||(L d)_i||^2
 
     for the displacement field d (L the uniform graph Laplacian of the
-    template), then applies ``damping * d``. Stops at the iteration cap or
-    when the mean applied displacement drops below ``tol_mm``. The system is
-    factored once per template and smoothness (`smoothing_system`) and
-    shared by every fit onto that template.
+    template), then applies ``_FIT_DAMPING * d``. Stops after
+    ``_FIT_ITERATIONS`` iterations or when the mean applied displacement
+    drops below ``_FIT_TOL_MM``. The system is factored once per template
+    (`smoothing_system`) and shared by every fit onto that template.
     """
     if template.is_empty or target.is_empty:
         raise DataError("template and target must be non-empty")
@@ -263,11 +244,11 @@ def nonrigid_fit(
 
     index = SurfaceIndex(target)
     log = FitLog()
-    v = _rigid_icp_init(template.vertices.copy(), index, cfg.tol_mm, log)
+    v = _rigid_icp_init(template.vertices.copy(), index, log)
 
-    lap, solve = smoothing_system(template, cfg.smoothness)
+    lap, solve = smoothing_system(template)
 
-    for it in range(cfg.iterations):
+    for it in range(_FIT_ITERATIONS):
         matched, dist = index.query(v)
         c = matched - v
         if not np.isfinite(c).all():
@@ -276,19 +257,16 @@ def nonrigid_fit(
         if not np.isfinite(d).all():
             raise NumericalError(f"non-finite displacement solve at iteration {it}")
         residual = d - c
-        objective = float((residual**2).sum() + cfg.smoothness * np.asarray((lap @ d) ** 2).sum())
+        objective = float((residual**2).sum() + _FIT_SMOOTHNESS * np.asarray((lap @ d) ** 2).sum())
         log.mean_surface_distance.append(float(dist.mean()))
         log.objective.append(objective)
-        step = cfg.damping * d
+        step = _FIT_DAMPING * d
         v = v + step
         log.iterations_run = it + 1
-        if float(np.linalg.norm(step, axis=1).mean()) < cfg.tol_mm:
+        if float(np.linalg.norm(step, axis=1).mean()) < _FIT_TOL_MM:
             break
 
-    fitted = template.with_vertices(v)
-    if return_log:
-        return fitted, log
-    return fitted
+    return template.with_vertices(v), log
 
 
 # ---------------------------------------------------------------------------

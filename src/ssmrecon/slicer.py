@@ -30,6 +30,8 @@ class Window:
     def __post_init__(self):
         lo = np.asarray(self.lo, dtype=np.float64).reshape(3)
         hi = np.asarray(self.hi, dtype=np.float64).reshape(3)
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise DataError("window bounds must be finite")
         if not (hi > lo).all():
             raise DataError("window must have positive extent on every axis")
         lo.flags.writeable = False

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -20,12 +22,27 @@ def test_empty_document_uses_defaults(tmp_path):
     assert cfg.slicer.offsets == (0.35, 0.50, 0.65)
     assert cfg.split.train_fraction == pytest.approx(0.74)
     assert cfg.train.hidden == 256
-    assert cfg.fit.smoothness == 1.0
 
 
 def test_unknown_section_rejected(tmp_path):
     with pytest.raises(ConfigError, match="unknown config section"):
         load_config(write_config(tmp_path, {"slicerr": {}}))
+
+
+def test_fit_section_rejected(tmp_path):
+    # the registration's settings are constants of ssmrecon.register
+    with pytest.raises(ConfigError, match="unknown config section.*fit"):
+        load_config(write_config(tmp_path, {"fit": {"iterations": 50}}))
+
+
+def test_readme_example_config_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    cli = readme[readme.index("\n## CLI\n") :]
+    example = re.search(r"```json\n(.*?)```", cli, re.S).group(1)
+    path = tmp_path / "config.json"
+    path.write_text(example)
+    cfg = load_config(path)
+    assert cfg.synth.n == 60 and cfg.ssm.components == 20
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -105,6 +122,27 @@ def test_bad_slicer_offsets_rejected_at_load(tmp_path, offsets):
 def test_value_of_wrong_type_rejected_at_load(tmp_path, section, key, value):
     with pytest.raises(ConfigError, match=f"{section}.*{key}"):
         load_config(write_config(tmp_path, {section: {key: value}}))
+
+
+@pytest.mark.parametrize(
+    "text, section, key",
+    [
+        ('{"synth": {"volume_range": [800, 1e999]}}', "synth", "volume_range"),
+        ('{"synth": {"volume_range": [800, Infinity]}}', "synth", "volume_range"),
+        ('{"train": {"learning_rate": 1e999}}', "train", "learning_rate"),
+        ('{"train": {"learning_rate": NaN}}', "train", "learning_rate"),
+        ('{"train": {"learning_rate": 1%s}}' % ("0" * 400), "train", "learning_rate"),
+    ],
+    ids=["overflow-in-list", "infinity-in-list", "overflow", "nan", "integer-past-float-range"],
+)
+def test_non_finite_number_rejected_at_load(tmp_path, capsys, text, section, key):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=f"section {section!r}: {key} must be finite"):
+        load_config(path)
+    assert main(["synth", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -594,6 +594,18 @@ def test_window_without_corner_is_data_error(small_run, tmp_path, edit, match):
         pipeline._load_window(load_config(root / "config.json"))
 
 
+@pytest.mark.parametrize("corner, axis, text", [("hi", 1, "1e999"), ("lo", 2, "-Infinity")])
+def test_non_finite_window_is_data_error(small_run, tmp_path, capsys, corner, axis, text):
+    root = shutil.copytree(small_run[0], tmp_path / "run")
+    path = root / "out" / "model.window.json"
+    doc = json.loads(path.read_text())
+    doc["window"][corner][axis] = "NOT_FINITE"
+    path.write_text(json.dumps(doc).replace('"NOT_FINITE"', text))
+    assert main(["slice", "--config", str(root / "config.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"{path} is malformed" in err and "bounds must be finite" in err
+
+
 @pytest.mark.parametrize("key", ["faces", "n_population"])
 def test_shape_space_without_header_key_exits_without_traceback(small_run, tmp_path, key):
     root = shutil.copytree(small_run[0], tmp_path / "run")

@@ -13,7 +13,7 @@ from ssmrecon import mesh as M
 from ssmrecon import metrics
 from ssmrecon.errors import DataError, NumericalError
 from ssmrecon.register import (
-    FitConfig,
+    _FIT_TOL_MM,
     RigidTransform,
     generalized_procrustes,
     nonrigid_fit,
@@ -91,8 +91,8 @@ def test_rigid_transform_rejects_reflection():
 
 def test_fit_identity_is_fixed_point(blob_pair):
     template, _ = blob_pair
-    fitted, log = nonrigid_fit(template, template, return_log=True)
-    assert np.abs(fitted.vertices - template.vertices).max() < FitConfig().tol_mm
+    fitted, log = nonrigid_fit(template, template)
+    assert np.abs(fitted.vertices - template.vertices).max() < _FIT_TOL_MM
     # every vertex lies on the target (d_i == 0), so no plane step moves the pose
     assert log.plane_rounds == 0
 
@@ -103,16 +103,16 @@ def test_fit_recovers_rigid_motion(blob_pair):
     # the second target lies about 500 mm from the template
     for shift in ([5.0, -3.0, 8.0], [300.0, -250.0, 320.0]):
         target = template.with_vertices(template.vertices @ rot.T + np.array(shift))
-        fitted, log = nonrigid_fit(template, target, return_log=True)
+        fitted, log = nonrigid_fit(template, target)
         assert metrics.mesh_metrics(fitted, target, 4000, 0).msd_mm < 0.1
         assert log.plane_rounds > 0 and not log.plane_capped
 
 
 def test_fit_far_target_reaches_same_surface_distance(blob_pair):
     template, target = blob_pair
-    _, near = nonrigid_fit(template, target, return_log=True)
+    _, near = nonrigid_fit(template, target)
     far_target = target.with_vertices(target.vertices + np.array([1000.0, -700.0, 400.0]))
-    _, far = nonrigid_fit(template, far_target, return_log=True)
+    _, far = nonrigid_fit(template, far_target)
     assert far.iterations_run == near.iterations_run
     assert far.mean_surface_distance[-1] == pytest.approx(near.mean_surface_distance[-1], rel=1e-9)
 
@@ -123,7 +123,7 @@ def test_fit_sphere_target_is_not_rotated():
     target = M.icosphere(60.0, 3)
     template = M.icosphere(72.0, 3)
     template = template.with_vertices(template.vertices + np.array([300.0, -250.0, 320.0]))
-    fitted, log = nonrigid_fit(template, target, return_log=True)
+    fitted, log = nonrigid_fit(template, target)
     assert not (log.plane_capped or log.vertex_capped)
     assert np.abs(fitted.vertices - target.vertices).max() < 0.05
 
@@ -136,20 +136,20 @@ def test_fit_tracks_smooth_bump(blob_pair):
     u = v / r[:, None]
     bump = 1.0 + 0.10 * np.exp(-(((u[:, 0] - 1.0) ** 2) + u[:, 1] ** 2 + u[:, 2] ** 2) / 0.3)
     target = template.with_vertices(centre + v * bump[:, None])
-    fitted = nonrigid_fit(template, target)
+    fitted, _ = nonrigid_fit(template, target)
     assert metrics.mesh_metrics(fitted, target, 4000, 0).msd_mm < 0.02 * np.linalg.norm(np.ptp(target.vertices, axis=0))
 
 
 def test_fit_preserves_topology(blob_pair):
     template, target = blob_pair
-    fitted = nonrigid_fit(template, target)
+    fitted, _ = nonrigid_fit(template, target)
     assert fitted.n_vertices == template.n_vertices
     assert np.array_equal(fitted.faces, template.faces)
 
 
 def test_fit_objective_non_increasing(blob_pair):
     template, target = blob_pair
-    _, log = nonrigid_fit(template, target, return_log=True)
+    _, log = nonrigid_fit(template, target)
     obj = np.asarray(log.objective)
     assert (np.diff(obj) <= 1e-9 * max(1.0, obj[0])).all()
 
@@ -162,14 +162,14 @@ def test_fits_on_a_pool_share_one_factorization(blob_pair, monkeypatch):
         target.with_vertices(target.vertices * 1.05),
         template.with_vertices(template.vertices @ rotation_about_z(0.2).T + np.array([3.0, -2.0, 1.0])),
     ]
-    fresh = [nonrigid_fit(M.TriMesh(template.vertices, template.faces), t, return_log=True) for t in targets]
+    fresh = [nonrigid_fit(M.TriMesh(template.vertices, template.faces), t) for t in targets]
 
     factorized = scipy.sparse.linalg.factorized
     factored = []
     monkeypatch.setattr(scipy.sparse.linalg, "factorized", lambda a: factored.append(a) or factorized(a))
     shared_template = M.TriMesh(template.vertices, template.faces)
     with ThreadPoolExecutor(max_workers=2) as pool:
-        shared = list(pool.map(lambda t: nonrigid_fit(shared_template, t, return_log=True), targets))
+        shared = list(pool.map(lambda t: nonrigid_fit(shared_template, t), targets))
 
     assert len(factored) == 1
     for (fresh_fit, fresh_log), (shared_fit, shared_log) in zip(fresh, shared):
@@ -187,7 +187,7 @@ def test_smoothing_system_factored_once_under_thread_contention(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(smoothing_system, template, 2.0) for _ in range(32)]
+            futures = [pool.submit(smoothing_system, template) for _ in range(32)]
             systems = [f.result(timeout=60) for f in futures]
     finally:
         sys.setswitchinterval(interval)

@@ -50,6 +50,11 @@ class SlicerSection:
 class TrainSection(TrainConfig):
     hidden: int = 256
 
+    def __post_init__(self):
+        super().__post_init__()
+        if self.hidden < 1:
+            raise ConfigError("train.hidden must be >= 1")
+
 
 @dataclass(frozen=True)
 class SplitSection:

@@ -5,7 +5,6 @@ the mm^3 -> cm^3 conversion lives in a single constant below.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
@@ -15,8 +14,6 @@ import numpy as np
 
 from . import sidecar
 from .errors import DataError
-
-log = logging.getLogger(__name__)
 
 MM3_PER_CM3 = 1000.0
 
@@ -44,11 +41,12 @@ class TriMesh:
             raise DataError(f"vertices must be an (M, 3) array, got shape {v.shape}")
         if f.ndim != 2 or f.shape[1] != 3:
             raise DataError(f"faces must be an (F, 3) array, got shape {f.shape}")
+        if not len(f):
+            raise DataError("mesh has no faces")
         check_face_indices(f, len(v))
-        if f.size:
-            degenerate = (f[:, 0] == f[:, 1]) | (f[:, 1] == f[:, 2]) | (f[:, 0] == f[:, 2])
-            if degenerate.any():
-                raise DataError(f"degenerate face (repeated vertex index) at row {int(np.argmax(degenerate))}")
+        degenerate = (f[:, 0] == f[:, 1]) | (f[:, 1] == f[:, 2]) | (f[:, 0] == f[:, 2])
+        if degenerate.any():
+            raise DataError(f"degenerate face (repeated vertex index) at row {int(np.argmax(degenerate))}")
         if not np.isfinite(v).all():
             raise DataError("non-finite vertex coordinate")
         v.flags.writeable = False
@@ -64,24 +62,16 @@ class TriMesh:
     def n_faces(self) -> int:
         return len(self.faces)
 
-    @property
-    def is_empty(self) -> bool:
-        return len(self.faces) == 0
-
     def triangle_corners(self) -> np.ndarray:
         """Return an (F, 3, 3) array of triangle corner coordinates."""
         return self.vertices[self.faces]
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """(min, max) corners of the axis-aligned bounding box."""
-        if self.n_vertices == 0:
-            raise DataError("empty mesh has no bounding box")
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
     def centroid(self) -> np.ndarray:
         """Mean of the vertex positions (not the volumetric centroid)."""
-        if self.n_vertices == 0:
-            raise DataError("empty mesh has no centroid")
         return self.vertices.mean(axis=0)
 
     def with_vertices(self, vertices: np.ndarray) -> "TriMesh":
@@ -109,7 +99,7 @@ class TriMesh:
 
 def check_face_indices(faces: np.ndarray, n_vertices: int) -> None:
     """Raise DataError unless every index in ``faces`` lies in [0, n_vertices)."""
-    if faces.size and (faces.min() < 0 or faces.max() >= n_vertices):
+    if faces.min() < 0 or faces.max() >= n_vertices:
         raise DataError(
             f"face index out of range: indices span [{faces.min()}, {faces.max()}] for {n_vertices} vertices"
         )
@@ -278,30 +268,17 @@ def validate_closed(mesh: TriMesh) -> None:
 # Volume
 
 
-def oriented_volume_mm3(mesh: TriMesh) -> float:
-    """Signed enclosed volume in mm^3 via the divergence theorem.
+def signed_volume(mesh: TriMesh) -> float:
+    """Signed enclosed volume in cm^3 via the divergence theorem.
 
-    Positive for outward-oriented closed meshes. Raises if the mesh is open.
+    Positive for an outward-oriented closed mesh, negative for an inward one.
+    Raises DataError if the mesh is open.
     """
     validate_closed(mesh)
-    if mesh.is_empty:
-        return 0.0
     tri = mesh.triangle_corners()
     # det[v0 v1 v2] / 6 summed over faces
     det = np.einsum("ij,ij->i", tri[:, 0], np.cross(tri[:, 1], tri[:, 2]))
-    return float(det.sum() / 6.0)
-
-
-def signed_volume(mesh: TriMesh) -> float:
-    """Enclosed volume in cm^3 (magnitude of the signed volume).
-
-    Inward-oriented meshes are accepted; a warning is logged because the
-    orientation of segmentation-derived meshes is unreliable.
-    """
-    raw = oriented_volume_mm3(mesh)
-    if raw < 0:
-        log.warning("mesh is inward-oriented (signed volume %.3f mm^3); returning magnitude", raw)
-    return abs(raw) / MM3_PER_CM3
+    return float(det.sum() / 6.0) / MM3_PER_CM3
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +287,6 @@ def signed_volume(mesh: TriMesh) -> float:
 
 def surface_samples(mesh: TriMesh, n: int, seed: int) -> np.ndarray:
     """Draw ``n`` area-uniform points on the mesh surface, deterministic in ``seed``."""
-    if mesh.is_empty:
-        raise DataError("cannot sample an empty mesh")
     if n < 1:
         raise DataError("sample count must be >= 1")
     rng = np.random.default_rng(seed)

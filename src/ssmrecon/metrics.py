@@ -94,8 +94,6 @@ class SampledSurface:
 
 def sampled_surface(mesh: TriMesh, n: int = DEFAULT_SAMPLES, seed: int = 0) -> SampledSurface:
     """Sample and index ``mesh`` once, for several comparisons with the same ``n`` and ``seed``."""
-    if mesh.is_empty:
-        raise DataError("mesh metrics need non-empty meshes")
     return SampledSurface(surface_samples(mesh, n, seed), SurfaceIndex(mesh), n, seed)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from . import metrics, regressor, shape_space, sidecar, stats, synth
 from .config import PipelineConfig
 from .errors import ConfigError, DataError, NumericalError
-from .mesh import MM3_PER_CM3, TriMesh, load_mesh, oriented_volume_mm3, save_mesh, signed_volume
+from .mesh import TriMesh, load_mesh, save_mesh, signed_volume
 from .register import generalized_procrustes, nonrigid_fit, smoothing_system
 from .slicer import (
     STACK_MANIFEST,
@@ -199,10 +199,10 @@ def _predict(space, params, stack: MaskStack, subject: str) -> tuple[TriMesh, fl
     parameters turned the surface inside out: a numerical failure.
     """
     mesh = shape_space.reconstruct(space, regressor.forward(params, stack))
-    raw = oriented_volume_mm3(mesh)
-    if raw < 0:
-        raise NumericalError(f"reconstruction of {subject} is inward-oriented (signed volume {raw:.6g} mm^3)")
-    return mesh, raw / MM3_PER_CM3
+    volume = signed_volume(mesh)
+    if volume < 0:
+        raise NumericalError(f"reconstruction of {subject} is inward-oriented (signed volume {volume:.6g} cm^3)")
+    return mesh, volume
 
 
 def cmd_reconstruct(cfg: PipelineConfig, subject: str | None = None, stack_path=None) -> tuple[Path, float]:

@@ -238,8 +238,6 @@ def nonrigid_fit(template: TriMesh, target: TriMesh) -> tuple[TriMesh, FitLog]:
     drops below ``_FIT_TOL_MM``. The system is factored once per template
     (`smoothing_system`) and shared by every fit onto that template.
     """
-    if template.is_empty or target.is_empty:
-        raise DataError("template and target must be non-empty")
     validate_closed(template)
 
     index = SurfaceIndex(target)

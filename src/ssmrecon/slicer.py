@@ -127,8 +127,6 @@ class MaskStack:
     """
 
     masks: tuple
-    spacing: tuple  # (mm/px in y, mm/px in z)
-    origin: tuple   # window (y, z) minimum corner, mm
 
     def __post_init__(self):
         masks = tuple(map(np.asarray, self.masks))
@@ -144,12 +142,7 @@ class MaskStack:
         masks = tuple(np.ascontiguousarray(m, dtype=np.uint8) for m in masks)
         for m in masks:
             m.flags.writeable = False
-        sy, sz = (float(s) for s in self.spacing)
-        if sy <= 0 or sz <= 0:
-            raise DataError("pixel spacing must be positive")
         object.__setattr__(self, "masks", masks)
-        object.__setattr__(self, "spacing", (sy, sz))
-        object.__setattr__(self, "origin", tuple(float(v) for v in self.origin))
 
     @property
     def resolution(self) -> int:
@@ -173,8 +166,6 @@ def cross_section(mesh: TriMesh, plane: Plane) -> list[np.ndarray]:
     DataError when a loop does not close, as for an inverted face.
     """
     validate_closed(mesh)
-    if mesh.is_empty:
-        return []
     v = mesh.vertices
     n = len(v)
     s = v[:, 0] - plane.offset
@@ -275,7 +266,7 @@ def make_mask_stack(mesh: TriMesh, protocol: SliceProtocol) -> MaskStack:
     for off in protocol.offsets:
         loops = cross_section(mesh, win.plane_at(off))
         masks.append(rasterize(loops, window_2d, r))
-    return MaskStack(tuple(masks), protocol.spacing, protocol.origin)
+    return MaskStack(tuple(masks))
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +322,8 @@ def save_mask_stack(stack: MaskStack, directory, protocol: SliceProtocol) -> Pat
         "members": members,
         "plane_offsets": list(protocol.offsets),
         "window": protocol.window.as_dict(),
-        "spacing": [stack.spacing[0], stack.spacing[1]],
-        "origin": [stack.origin[0], stack.origin[1]],
+        "spacing": list(protocol.spacing),
+        "origin": list(protocol.origin),
     }
     manifest_path = directory / STACK_MANIFEST
     sidecar.write_json(manifest_path, manifest)
@@ -350,15 +341,15 @@ def load_mask_stack(manifest_path, protocol: SliceProtocol) -> MaskStack:
     manifest = sidecar.read_manifest(manifest_path, "stack manifest", ("members", "spacing", "origin"))
     try:
         masks = [load_mask(manifest_path.parent / name) for name in manifest["members"]]
-        stack = MaskStack(tuple(masks), tuple(manifest["spacing"]), tuple(manifest["origin"]))
+        stack = MaskStack(tuple(masks))
     except (DataError, TypeError, ValueError) as exc:
         raise DataError(f"stack manifest {manifest_path} is malformed: {exc!r}") from exc
     offsets, window = list(protocol.offsets), protocol.window.as_dict()
     for field, found, expected in (
         ("mask count", len(stack.masks), len(protocol.offsets)),
         ("resolution", stack.resolution, protocol.resolution),
-        ("spacing", stack.spacing, protocol.spacing),
-        ("origin", stack.origin, protocol.origin),
+        ("spacing", manifest["spacing"], list(protocol.spacing)),
+        ("origin", manifest["origin"], list(protocol.origin)),
         ("plane_offsets", manifest.get("plane_offsets", offsets), offsets),
         ("window", manifest.get("window", window), window),
     ):

@@ -182,8 +182,6 @@ class SurfaceIndex:
     def __init__(self, mesh: TriMesh):
         from scipy.spatial import cKDTree
 
-        if mesh.is_empty:
-            raise DataError("cannot index an empty mesh")
         if np.abs(mesh.vertices).max() > MAX_COORDINATE_MM:
             raise DataError(f"mesh coordinates must lie within +-{MAX_COORDINATE_MM:g} mm")
         self.mesh = mesh

@@ -69,7 +69,11 @@ def _radial_modes(rng: np.random.Generator, count: int, amplitude: float, theta:
 
 
 def _sections_look_sane(mesh: TriMesh) -> bool:
-    """Reject self-intersection: every section loop must have positive area."""
+    """Reject a hole in a section: every section loop must have positive area.
+
+    The shape is a radial graph over the icosphere's faces, so it cannot
+    self-intersect; a loop of non-positive area is a hole.
+    """
     lo, hi = mesh.bounds()
     for f in (0.3, 0.5, 0.7):
         loops = cross_section(mesh, Plane(float(lo[0] + f * (hi[0] - lo[0]))))

@@ -95,8 +95,6 @@ def closest_points_brute(points, mesh):
     `SurfaceIndex`, with its rule: the smallest squared distance wins, and
     among tied faces the lowest face id, so the two agree bit for bit.
     """
-    if mesh.is_empty:
-        raise DataError("cannot query an empty mesh")
     p = np.atleast_2d(np.asarray(points, dtype=np.float64))
     tri = mesh.triangle_corners()
     n, f = len(p), len(tri)

@@ -67,6 +67,15 @@ def test_full_validation_fraction_rejected_at_load(tmp_path):
         load_config(write_config(tmp_path, {"train": {"validation_fraction": 1.0}}))
 
 
+def test_zero_hidden_units_rejected_at_load(tmp_path, capsys):
+    # a first layer of no units predicts the bias b2 for every stack
+    path = write_config(tmp_path, {"train": {"hidden": 0}})
+    with pytest.raises(ConfigError, match=r"train\.hidden must be >= 1"):
+        load_config(path)
+    assert main(["synth", "--config", str(path)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_paths_resolve_relative_to_config(tmp_path):
     cfg = load_config(write_config(tmp_path, {"paths": {"population_dir": "data/pop"}}))
     assert cfg.population_dir == tmp_path / "data" / "pop"

@@ -42,6 +42,11 @@ def test_arrays_without_three_columns_rejected():
         M.TriMesh(tet.vertices.reshape(-1, 2), tet.faces)
 
 
+def test_faceless_mesh_rejected():
+    with pytest.raises(DataError, match="^mesh has no faces$"):
+        M.TriMesh(np.zeros((3, 3)), np.zeros((0, 3), dtype=int))
+
+
 def test_vertices_are_immutable(centered_cube):
     with pytest.raises(ValueError):
         centered_cube.vertices[0, 0] = 99.0
@@ -69,12 +74,12 @@ def test_round_trip_identity(tmp_path, icosphere10):
     assert np.array_equal(again.faces, icosphere10.faces)
 
 
-def test_empty_mesh_round_trip(tmp_path):
-    path = tmp_path / "empty.obj"
-    empty = M.TriMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
-    M.save_mesh(empty, path)
-    again = M.load_mesh(path)
-    assert again.n_vertices == 0 and again.n_faces == 0
+def test_faceless_obj_rejected(tmp_path):
+    path = tmp_path / "faceless.obj"
+    for text in ("", "v 0 0 0\nv 1 0 0\nv 0 1 0\n"):
+        path.write_text(text)
+        with pytest.raises(DataError, match=f"^{path}: mesh has no faces$"):
+            M.load_mesh(path)
 
 
 _EXTREME_VALUES = M.TriMesh(
@@ -85,8 +90,8 @@ _EXTREME_VALUES = M.TriMesh(
 
 @pytest.mark.parametrize(
     "mesh",
-    [M.cube(1.0), M.icosphere(37.3, 3), M.TriMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int)), _EXTREME_VALUES],
-    ids=["cube", "icosphere", "empty", "extreme-values"],
+    [M.cube(1.0), M.icosphere(37.3, 3), _EXTREME_VALUES],
+    ids=["cube", "icosphere", "extreme-values"],
 )
 def test_save_bytes_match_line_writer(tmp_path, mesh):
     M.save_mesh(mesh, tmp_path / "fast.obj")
@@ -253,11 +258,13 @@ def test_icosphere_volume_near_analytic():
     assert vol == pytest.approx(analytic, rel=5e-3)
 
 
-def test_inverted_cube_same_magnitude():
+def test_inverted_cube_same_magnitude(caplog):
+    """The same magnitude with the opposite sign, and nothing logged: the caller decides."""
     cube = M.cube(10.0)
     flipped = M.TriMesh(cube.vertices, cube.faces[:, ::-1])
-    assert M.oriented_volume_mm3(flipped) < 0
-    assert M.signed_volume(flipped) == pytest.approx(1.0, abs=1e-12)
+    with caplog.at_level("DEBUG"):
+        assert M.signed_volume(flipped) == -1.0
+    assert caplog.records == []
 
 
 def test_open_mesh_rejected_naming_edge():
@@ -287,7 +294,9 @@ def _face_soups(draw):
     faces += draw(st.lists(st.sampled_from(base), max_size=3)) if base else []
     # faces over the old vertices and three new ones: fins on old edges, loose triangles
     n = int(np.max(base)) + 1 if base else 0
-    faces += draw(st.lists(st.lists(st.integers(0, n + 2), min_size=3, max_size=3, unique=True), max_size=6))
+    # at least one face: a mesh without faces is refused at construction
+    new = st.lists(st.integers(0, n + 2), min_size=3, max_size=3, unique=True)
+    faces += draw(st.lists(new, min_size=0 if faces else 1, max_size=6))
     return _soup(draw(st.permutations(faces)), n + 3)
 
 
@@ -297,7 +306,6 @@ def _face_soups(draw):
 @example(mesh=_soup(np.concatenate([_CUBE, [[0, 1, 8]]])))  # fin: edge (0, 1) in 3 faces
 @example(mesh=_soup(np.concatenate([_CUBE, [[0, 1, 8], [1, 0, 9]]])))  # edge (0, 1) in 4 faces
 @example(mesh=_soup(np.concatenate([_CUBE, _CUBE[:2]])))  # repeated faces
-@example(mesh=_soup(np.zeros((0, 3)), 0))  # empty
 @settings(max_examples=300, deadline=None)
 def test_boundary_edges_match_unique_oracle(mesh):
     got, want = M.boundary_edges(mesh), boundary_edges_by_unique(mesh)
@@ -373,8 +381,8 @@ def test_sampling_deterministic(icosphere10):
 
 
 def test_sampling_empty_mesh_rejected():
-    with pytest.raises(DataError):
-        M.surface_samples(M.TriMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int)), 10, 0)
+    with pytest.raises(DataError, match="^mesh has no faces$"):
+        M.TriMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from ssmrecon.cli import main
 from ssmrecon.config import load_config
 from ssmrecon.errors import ConfigError, DataError
 from ssmrecon.metrics import rmse
-from ssmrecon.mesh import load_mesh, oriented_volume_mm3, signed_volume
+from ssmrecon.mesh import load_mesh, signed_volume
 from ssmrecon.regressor import load_weights, save_weights
 from ssmrecon.shape_space import load_ssm, reconstruct
 from ssmrecon.threads import thread_count
@@ -273,6 +273,14 @@ def test_stack_checked_against_the_protocol(small_run, tmp_path, capsys):
     assert f"mask stack {path}: spacing " in err and "run slice again" in err
 
 
+def test_faceless_subject_mesh_fails_slice_naming_file(small_run, tmp_path, capsys):
+    cfg_path = shutil.copytree(small_run[0], tmp_path / "run") / "config.json"
+    path = load_config(cfg_path).population_dir / "s001.obj"
+    path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\n")
+    assert main(["slice", "--config", str(cfg_path)]) == 2
+    assert f"{path}: mesh has no faces" in capsys.readouterr().err
+
+
 def test_reconstruct_missing_weights_names_path(small_run):
     tmp, _, _, _ = small_run
     cfg = load_config(
@@ -311,7 +319,7 @@ def test_inward_prediction_is_numerical_error(small_run, tmp_path, capsys):
         b2
         for mode in np.eye(space.n_components)
         for b2 in (scale * mode for scale in (-1e3, 1e3, -1e4, 1e4))
-        if oriented_volume_mm3(reconstruct(space, b2)) < 0
+        if signed_volume(reconstruct(space, b2)) < 0
     ]
     assert inward
     old = load_weights(cfg.weights_stem)

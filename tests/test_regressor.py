@@ -63,11 +63,11 @@ def test_forward_of_a_stack_is_its_batch_row():
     """One stack goes through the gemv without a restack; the batch route gives the same bits."""
     rng = np.random.default_rng(4)
     masks = tuple((rng.random((16, 16)) < 0.4).astype(np.uint8) for _ in range(3))
-    stack = MaskStack(masks, (1.0, 1.0), (0.0, 0.0))
+    stack = MaskStack(masks)
     p = init_params(3 * 16 * 16, 8, 3, seed=5)
     p = params_with(p.w1, rng.normal(size=8), p.w2, rng.normal(size=3))
     assert forward(p, stack).tobytes() == _forward_batch(p, stack.flatten()[None])[1][0].tobytes()
-    small = MaskStack(masks[:2], (1.0, 1.0), (0.0, 0.0))
+    small = MaskStack(masks[:2])
     with pytest.raises(DataError, match=r"^input has 512 values, network expects 768$"):
         forward(p, small)
 

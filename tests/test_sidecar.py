@@ -119,7 +119,7 @@ def _write_stack(directory, k):
     masks = tuple(np.tri(32, k=i, dtype=np.uint8) for i in range(3))
     window = Window(np.full(3, -50.0 - k / 3), np.full(3, 50.0 + k / 7))
     offsets = (0.35, 0.5, 0.65) if k == 0 else (0.3, 0.5123456789, 0.7)
-    save_mask_stack(MaskStack(masks, (1.0, 1.0), (0.0, 0.0)), directory, SliceProtocol(offsets, window, 32))
+    save_mask_stack(MaskStack(masks), directory, SliceProtocol(offsets, window, 32))
 
 
 def _write_model(directory, k):
@@ -269,10 +269,8 @@ def test_boundary_edges_match_row_unique_on_holey_mesh():
         M.validate_closed(holey)
 
 
-def test_boundary_edges_closed_and_empty():
+def test_boundary_edges_closed():
     assert M.boundary_edges(M.icosphere(1.0, 2)).shape == (0, 2)
-    empty = M.TriMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
-    assert M.boundary_edges(empty).shape == (0, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -315,7 +315,7 @@ def test_header_mismatch_rejected(tmp_path):
 
 def test_mixed_resolution_stack_refused():
     with pytest.raises(DataError, match="resolution|square"):
-        MaskStack((np.zeros((16, 16), dtype=np.uint8), np.zeros((32, 32), dtype=np.uint8)), (1.0, 1.0), (0.0, 0.0))
+        MaskStack((np.zeros((16, 16), dtype=np.uint8), np.zeros((32, 32), dtype=np.uint8)))
 
 
 @pytest.mark.parametrize(
@@ -326,7 +326,7 @@ def test_mixed_resolution_stack_refused():
 def test_nonbinary_values_rejected_before_the_uint8_cast(tmp_path, values):
     """Checked as given: the cast reads 0.5 and 256 as 0, 1.7 and -255 as 1."""
     with pytest.raises(DataError, match=r"masks must be binary \(0/1\)"):
-        MaskStack((values, values), (1.0, 1.0), (0.0, 0.0))
+        MaskStack((values, values))
     with pytest.raises(DataError, match="mask values must be 0 or 1"):
         save_mask(values, tmp_path / "m.pgm")
     assert not (tmp_path / "m.pgm").exists()
@@ -340,7 +340,7 @@ def test_stack_round_trip(tmp_path, small_population, shared_window):
     assert len(again.masks) == 3
     for a, b in zip(stack.masks, again.masks):
         assert np.array_equal(a, b)
-    assert again.spacing == stack.spacing
+    assert json.loads(manifest.read_text())["spacing"] == list(protocol.spacing)
     assert json.loads(manifest.read_text())["plane_offsets"] == [0.35, 0.5, 0.65]
 
 

@@ -35,7 +35,7 @@ def test_meshes_closed_and_outward():
     meshes, _ = generate_population(cfg)
     for mesh in meshes:
         assert len(M.boundary_edges(mesh)) == 0
-        assert M.oriented_volume_mm3(mesh) > 0.0
+        assert M.signed_volume(mesh) > 0.0
 
 
 def test_distinct_seeds_distinct_meshes():

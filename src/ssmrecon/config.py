@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError, DataError
-from .metrics import DEFAULT_SAMPLES
 from .regressor import TrainConfig
 from .slicer import check_protocol
 from .synth import SynthConfig
@@ -47,16 +46,6 @@ class SlicerSection:
 
 
 @dataclass(frozen=True)
-class TrainSection(TrainConfig):
-    hidden: int = 256
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.hidden < 1:
-            raise ConfigError("train.hidden must be >= 1")
-
-
-@dataclass(frozen=True)
 class SplitSection:
     train_fraction: float = 0.74  # mirrors a 99-train / 35-test style allocation
     seed: int = 0
@@ -68,7 +57,7 @@ class SplitSection:
 
 @dataclass(frozen=True)
 class EvaluateSection:
-    samples: int = DEFAULT_SAMPLES
+    samples: int = 10_000
     seed: int = 0
 
     def __post_init__(self):
@@ -82,7 +71,7 @@ class PipelineConfig:
     synth: SynthConfig
     ssm: SsmSection
     slicer: SlicerSection
-    train: TrainSection
+    train: TrainConfig
     split: SplitSection
     evaluate: EvaluateSection
     base_dir: Path

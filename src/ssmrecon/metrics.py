@@ -17,8 +17,6 @@ from .errors import DataError
 from .mesh import TriMesh, surface_samples
 from .spatial import SurfaceIndex
 
-DEFAULT_SAMPLES = 10_000
-
 
 @dataclass(frozen=True)
 class MaskMetrics:
@@ -92,7 +90,7 @@ class SampledSurface:
     seed: int
 
 
-def sampled_surface(mesh: TriMesh, n: int = DEFAULT_SAMPLES, seed: int = 0) -> SampledSurface:
+def sampled_surface(mesh: TriMesh, n: int, seed: int) -> SampledSurface:
     """Sample and index ``mesh`` once, for several comparisons with the same ``n`` and ``seed``."""
     return SampledSurface(surface_samples(mesh, n, seed), SurfaceIndex(mesh), n, seed)
 
@@ -112,7 +110,7 @@ def _sampled(surface: Surface, n: int, seed: int) -> SampledSurface:
     return surface
 
 
-def mesh_metrics(mesh_a: Surface, mesh_b: Surface, n: int = DEFAULT_SAMPLES, seed: int = 0) -> MeshMetrics:
+def mesh_metrics(mesh_a: Surface, mesh_b: Surface, n: int, seed: int) -> MeshMetrics:
     """Chamfer and mean surface distance computed from one sampling pass.
 
     Either side may be a ``SampledSurface``, so one surface can be sampled

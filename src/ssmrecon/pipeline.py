@@ -98,15 +98,20 @@ def cmd_build_ssm(cfg: PipelineConfig) -> Path:
     projected from. Each subject's mesh is loaded by the pool task that fits
     it, so parsing overlaps the other threads' fits. All fits share the
     reference's smoothing system, factored here, on the thread that frees it.
+    Every fit, and so every prediction, takes the reference's faces, so an
+    inward-oriented reference is a data error here, before any fit.
     """
     train, _ = split_ids(cfg)
     if len(train) < 2:
         raise DataError("need at least 2 subjects to build a shape space")
     reference = _subject_mesh(cfg, train[0])
     try:
+        volume = signed_volume(reference)
         smoothing_system(reference)
     except DataError as exc:
         raise DataError(f"subject {train[0]}: {exc}") from exc
+    if volume < 0:
+        raise DataError(f"subject {train[0]}: reference mesh is inward-oriented (signed volume {volume:.6g} cm^3)")
 
     def fit_one(sid: str) -> tuple[TriMesh, TriMesh]:
         mesh = reference if sid == train[0] else _subject_mesh(cfg, sid)
@@ -167,7 +172,7 @@ def cmd_train(cfg: PipelineConfig) -> Path:
         target = shape_space.project(space, load_mesh(reg_path))
         dataset.append((_load_stack(cfg, sid), target))
 
-    params, log = regressor.train(dataset, cfg.train, n_hidden=cfg.train.hidden)
+    params, log = regressor.train(dataset, cfg.train)
     manifest_path, _ = regressor.save_weights(params, cfg.weights_stem)
 
     rows = io.StringIO()

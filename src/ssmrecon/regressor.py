@@ -93,6 +93,7 @@ class TrainConfig:
     validation_fraction: float = 0.15
     patience: int = 30
     seed: int = 0
+    hidden: int = 256
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -101,6 +102,8 @@ class TrainConfig:
             raise DataError("validation fraction must lie in [0, 1)")
         if self.epochs < 1 or self.batch_size < 1:
             raise DataError("epochs and batch size must be >= 1")
+        if self.hidden < 1:
+            raise DataError("train.hidden must be >= 1")
 
 
 def _draw_uniform(bits: np.random.PCG64, out: np.ndarray, low: float, high: float) -> None:
@@ -166,11 +169,6 @@ def _checked_input(x, n_inputs: int) -> np.ndarray:
     return v
 
 
-def _as_input_matrix(inputs, n_inputs: int) -> np.ndarray:
-    """Stack flattened {0,1} inputs into a (B, D) matrix."""
-    return np.stack([_checked_input(x, n_inputs) for x in inputs])
-
-
 def forward(params: MlpParams, stack) -> np.ndarray:
     """Predicted shape parameters for one mask stack (or flat {0,1} vector)."""
     x = _checked_input(stack, params.n_inputs)
@@ -188,7 +186,7 @@ def _as_batch(pairs, n_inputs: int) -> tuple[np.ndarray, np.ndarray]:
     """(B, D) inputs and (B, K) targets of non-empty (input, target) pairs."""
     if not pairs:
         raise DataError("batch must be non-empty")
-    x = _as_input_matrix([p[0] for p in pairs], n_inputs)
+    x = np.stack([_checked_input(p[0], n_inputs) for p in pairs])
     y = np.stack([np.asarray(p[1], dtype=np.float64).ravel() for p in pairs])
     return x, y
 
@@ -224,7 +222,7 @@ class TrainingLog:
         return zip(self.epochs, self.train_loss, self.val_loss)
 
 
-def train(dataset, cfg: TrainConfig, n_hidden: int) -> tuple[MlpParams, TrainingLog]:
+def train(dataset, cfg: TrainConfig) -> tuple[MlpParams, TrainingLog]:
     """Fit the network on (input, target) pairs.
 
     Deterministic for a fixed config seed (initialisation, split and epoch
@@ -238,7 +236,7 @@ def train(dataset, cfg: TrainConfig, n_hidden: int) -> tuple[MlpParams, Training
     n, k = y_all.shape
 
     rng = np.random.default_rng(cfg.seed)
-    params = init_params(x_all.shape[1], n_hidden, k, seed=int(rng.integers(2**31 - 1)))
+    params = init_params(x_all.shape[1], cfg.hidden, k, seed=int(rng.integers(2**31 - 1)))
 
     n_val = int(round(n * cfg.validation_fraction))
     if cfg.validation_fraction > 0 and n_val == 0:
@@ -255,7 +253,7 @@ def train(dataset, cfg: TrainConfig, n_hidden: int) -> tuple[MlpParams, Training
     w1_0 = params.w1
     p0_train, p0_val = x_train @ w1_0.T, x_val @ w1_0.T
     gram_train, gram_val = x_train @ x_train.T, x_val @ x_train.T
-    c = np.zeros((n_hidden, len(x_train)))
+    c = np.zeros((cfg.hidden, len(x_train)))
     b1, w2, b2 = (np.array(a) for a in (params.b1, params.w2, params.b2))
 
     def pre_activation(p0: np.ndarray, gram: np.ndarray) -> np.ndarray:
@@ -302,7 +300,7 @@ def train(dataset, cfg: TrainConfig, n_hidden: int) -> tuple[MlpParams, Training
     c, b1, w2, b2 = best
     # W1 = w1_0 + c @ x_train, added into w1_0 (owned here) a block of rows at
     # a time, so no second D-wide (H, D) array is ever held
-    for rows in range(0, n_hidden, _W1_BLOCK_ROWS):
+    for rows in range(0, cfg.hidden, _W1_BLOCK_ROWS):
         w1_0[rows : rows + _W1_BLOCK_ROWS] += c[rows : rows + _W1_BLOCK_ROWS] @ x_train
     return MlpParams(w1_0, b1, w2, b2), log
 

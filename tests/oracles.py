@@ -358,7 +358,7 @@ def _primal_mse(params, x, y):
     return float(((pred - y) ** 2).sum(axis=1).mean() / params.n_outputs)
 
 
-def primal_sgd_train(dataset, cfg, n_hidden=256):
+def primal_sgd_train(dataset, cfg):
     """``regressor.train`` with W1 itself as the trained variable.
 
     Same RNG draws (init, split, shuffles), log and errors as the package's
@@ -370,7 +370,7 @@ def primal_sgd_train(dataset, cfg, n_hidden=256):
     n, k = y_all.shape
 
     rng = np.random.default_rng(cfg.seed)
-    params = init_params(x_all.shape[1], n_hidden, k, seed=int(rng.integers(2**31 - 1)))
+    params = init_params(x_all.shape[1], cfg.hidden, k, seed=int(rng.integers(2**31 - 1)))
 
     n_val = int(round(n * cfg.validation_fraction))
     if cfg.validation_fraction > 0 and n_val == 0:

@@ -7,6 +7,7 @@ import pytest
 from ssmrecon.cli import main
 from ssmrecon.config import load_config
 from ssmrecon.errors import ConfigError
+from ssmrecon.regressor import TrainConfig
 
 
 def write_config(tmp_path, doc):
@@ -74,6 +75,12 @@ def test_zero_hidden_units_rejected_at_load(tmp_path, capsys):
         load_config(path)
     assert main(["synth", "--config", str(path)]) == 1
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_train_section_is_the_regressors_config(tmp_path):
+    cfg = load_config(write_config(tmp_path, {"train": {"hidden": 16}}))
+    assert type(cfg.train) is TrainConfig
+    assert cfg.train.hidden == 16
 
 
 def test_paths_resolve_relative_to_config(tmp_path):

@@ -152,6 +152,8 @@ def _obj_texts(draw):
     kinds += draw(st.lists(st.sampled_from(["f", "v", "f", "ignored", "f", "blank"]), max_size=20))
     # up to two faulty records, so that one fault sometimes hides behind another
     faulty = draw(st.sets(st.integers(0, len(kinds) - 1), max_size=2)) if kinds else set()
+    # a valid face after at least three vertices ends every text, so one without a fault loads
+    kinds += ["v"] * max(0, 3 - kinds.count("v")) + ["f"]
     for n, kind in enumerate(kinds):
         fault = None
         if n in faulty:

@@ -17,7 +17,7 @@ from ssmrecon.cli import main
 from ssmrecon.config import load_config
 from ssmrecon.errors import ConfigError, DataError
 from ssmrecon.metrics import rmse
-from ssmrecon.mesh import load_mesh, signed_volume
+from ssmrecon.mesh import TriMesh, load_mesh, save_mesh, signed_volume
 from ssmrecon.regressor import load_weights, save_weights
 from ssmrecon.shape_space import load_ssm, reconstruct
 from ssmrecon.threads import thread_count
@@ -279,6 +279,21 @@ def test_faceless_subject_mesh_fails_slice_naming_file(small_run, tmp_path, caps
     path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\n")
     assert main(["slice", "--config", str(cfg_path)]) == 2
     assert f"{path}: mesh has no faces" in capsys.readouterr().err
+
+
+def test_inward_reference_mesh_fails_build_ssm_before_any_fit(small_run, tmp_path, monkeypatch, capsys):
+    """Every prediction takes the reference's faces, so an inverted reference is a data error at build-ssm."""
+    cfg_path = shutil.copytree(small_run[0], tmp_path / "run") / "config.json"
+    cfg = load_config(cfg_path)
+    reference = pipeline.split_ids(cfg)[0][0]
+    path = cfg.population_dir / f"{reference}.obj"
+    mesh = load_mesh(path)
+    save_mesh(TriMesh(mesh.vertices, mesh.faces[:, ::-1]), path)
+    fits = []
+    monkeypatch.setattr(pipeline, "nonrigid_fit", lambda *args: fits.append(args))
+    assert main(["build-ssm", "--config", str(cfg_path)]) == 2
+    assert f"subject {reference}: reference mesh is inward-oriented (signed volume -" in capsys.readouterr().err
+    assert fits == []
 
 
 def test_reconstruct_missing_weights_names_path(small_run):

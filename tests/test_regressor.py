@@ -228,8 +228,8 @@ def test_train_matches_primal_oracle(seed, n, batch_size, validation_fraction, p
         patience=patience,
         seed=seed,
     )
-    dual, log = train(data, cfg, n_hidden=8)
-    primal, ref = primal_sgd_train(data, cfg, n_hidden=8)
+    dual, log = train(data, dataclasses.replace(cfg, hidden=8))
+    primal, ref = primal_sgd_train(data, dataclasses.replace(cfg, hidden=8))
     assert log.best_epoch == ref.best_epoch
     assert len(log.epochs) == len(ref.epochs)
     assert (log.n_train, log.n_val) == (ref.n_train, ref.n_val)
@@ -245,15 +245,15 @@ def test_train_matches_primal_oracle(seed, n, batch_size, validation_fraction, p
 def test_memorizes_toy_set():
     data = toy_batch(5, 8, d=40, k=4)
     cfg = TrainConfig(learning_rate=0.05, epochs=500, batch_size=4, validation_fraction=0.0, patience=0, seed=1)
-    params, log = train(data, cfg, n_hidden=32)
+    params, log = train(data, dataclasses.replace(cfg, hidden=32))
     assert log.train_loss[-1] < 1e-3
 
 
 def test_training_deterministic():
     data = toy_batch(6, 8, d=20, k=3)
     cfg = TrainConfig(learning_rate=0.01, epochs=40, batch_size=4, validation_fraction=0.25, patience=10, seed=2)
-    p1, log1 = train(data, cfg, n_hidden=8)
-    p2, log2 = train(data, cfg, n_hidden=8)
+    p1, log1 = train(data, dataclasses.replace(cfg, hidden=8))
+    p2, log2 = train(data, dataclasses.replace(cfg, hidden=8))
     for name in ("w1", "b1", "w2", "b2"):
         assert np.array_equal(getattr(p1, name), getattr(p2, name))
     assert log1.train_loss == log2.train_loss
@@ -262,7 +262,7 @@ def test_training_deterministic():
 def test_validation_split_counts():
     data = toy_batch(7, 8, d=10, k=2)
     cfg = TrainConfig(epochs=1, batch_size=4, validation_fraction=0.25, seed=3)
-    _, log = train(data, cfg, n_hidden=4)
+    _, log = train(data, dataclasses.replace(cfg, hidden=4))
     # 8 samples at fraction 0.25: 6 train / 2 validation
     assert (log.n_train, log.n_val) == (6, 2)
     assert len(log.train_loss) == 1
@@ -271,7 +271,7 @@ def test_validation_split_counts():
 def test_training_loss_improves_over_initialization():
     data = toy_batch(8, 12, d=16, k=3)
     cfg = TrainConfig(learning_rate=0.02, epochs=60, batch_size=4, validation_fraction=0.25, patience=0, seed=4)
-    params, log = train(data, cfg, n_hidden=8)
+    params, log = train(data, dataclasses.replace(cfg, hidden=8))
     assert log.train_loss[-1] < log.train_loss[0]
     best = loss(params, data)
     first = log.train_loss[0]
@@ -282,7 +282,7 @@ def test_divergence_reported_with_epoch():
     data = toy_batch(9, 6, d=8, k=2)
     cfg = TrainConfig(learning_rate=1e18, epochs=10, batch_size=2, validation_fraction=0.0, patience=0, seed=5)
     with pytest.raises(NumericalError, match="epoch"):
-        train(data, cfg, n_hidden=4)
+        train(data, dataclasses.replace(cfg, hidden=4))
 
 
 def test_divergence_at_epoch_loss_raises_without_warning():
@@ -293,7 +293,7 @@ def test_divergence_at_epoch_loss_raises_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match=r"diverged at epoch 45 \(non-finite loss\)"):
-            train(data, cfg, n_hidden=8)
+            train(data, dataclasses.replace(cfg, hidden=8))
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -305,19 +305,19 @@ def test_divergence_matches_primal_oracle(learning_rate, seed):
         learning_rate=learning_rate, epochs=10, batch_size=2, validation_fraction=0.0, patience=0, seed=seed
     )
     with pytest.raises(NumericalError) as want:
-        primal_sgd_train(data, cfg, n_hidden=4)
+        primal_sgd_train(data, dataclasses.replace(cfg, hidden=4))
     with pytest.raises(NumericalError) as got:
-        train(data, cfg, n_hidden=4)
+        train(data, dataclasses.replace(cfg, hidden=4))
     assert str(got.value) == str(want.value)
 
 
 def test_best_epoch_snapshot_survives_later_steps():
     data = toy_batch(12, 12, d=16, k=3)
     cfg = TrainConfig(learning_rate=0.02, epochs=60, batch_size=4, validation_fraction=0.25, patience=0, seed=6)
-    best, log = train(data, cfg, n_hidden=8)
+    best, log = train(data, dataclasses.replace(cfg, hidden=8))
     assert 1 < log.best_epoch < cfg.epochs
     # stopping at the best epoch replays the same steps; later steps must not touch the snapshot
-    again, _ = train(data, dataclasses.replace(cfg, epochs=log.best_epoch), n_hidden=8)
+    again, _ = train(data, dataclasses.replace(cfg, epochs=log.best_epoch, hidden=8))
     for name in ("w1", "b1", "w2", "b2"):
         assert getattr(best, name).tobytes() == getattr(again, name).tobytes()
 
@@ -327,6 +327,8 @@ def test_config_validation():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(DataError):
         TrainConfig(validation_fraction=1.0)
+    with pytest.raises(DataError, match=r"^train\.hidden must be >= 1$"):
+        TrainConfig(hidden=0)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 ``perfbench/tracer.py`` wraps every public function of the traced modules,
 calls its counters with the wrapped function's positional arguments
 (``load_mesh(result, path)``, ``SurfaceIndex.query(result, self, points)``,
-``train(result, dataset, cfg, n_hidden)``, ``save_weights(result, params,
-path)``, ...) and replaces ``pipeline._parallel_map(fn, items)``. A change of
+``train(result, dataset, cfg)``, ``save_weights(result, params, path)``,
+...) and replaces ``pipeline._parallel_map(fn, items)``. A change of
 signature there breaks only traced benchmark runs, so this test makes one:
 two batch passes and a reconstruct per test subject on a tiny config, in a
 fresh interpreter with the tracer installed.

@@ -6,7 +6,6 @@ the mm^3 -> cm^3 conversion lives in a single constant below.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress
 from operator import itemgetter
 
@@ -43,7 +42,8 @@ class TriMesh:
             raise DataError(f"faces must be an (F, 3) array, got shape {f.shape}")
         if not len(f):
             raise DataError("mesh has no faces")
-        check_face_indices(f, len(v))
+        if f.min() < 0 or f.max() >= len(v):
+            raise DataError(f"face index out of range: indices span [{f.min()}, {f.max()}] for {len(v)} vertices")
         degenerate = (f[:, 0] == f[:, 1]) | (f[:, 1] == f[:, 2]) | (f[:, 0] == f[:, 2])
         if degenerate.any():
             raise DataError(f"degenerate face (repeated vertex index) at row {int(np.argmax(degenerate))}")
@@ -53,6 +53,7 @@ class TriMesh:
         f.flags.writeable = False
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "faces", f)
+        object.__setattr__(self, "_topology", {})
 
     @property
     def n_vertices(self) -> int:
@@ -75,18 +76,34 @@ class TriMesh:
         return self.vertices.mean(axis=0)
 
     def with_vertices(self, vertices: np.ndarray) -> "TriMesh":
-        """Same topology, new vertex positions; a closedness result already found is kept."""
+        """Same topology, new vertex positions; the values found from the faces alone are shared (see `_topology`)."""
         mesh = TriMesh(vertices, self.faces)
-        if "_boundary" in self.__dict__:
-            mesh.__dict__["_boundary"] = self._boundary
+        object.__setattr__(mesh, "_topology", self._topology)
         return mesh
 
-    @cached_property
+    # ``_topology`` holds the values that depend only on the immutable faces,
+    # each found at most once for a mesh and all that `with_vertices` derives
+    # from it: a shape space's mean mesh finds them once for all its
+    # reconstructions. Two threads may both find a value; it is the same value.
+
+    @property
     def _boundary(self) -> np.ndarray:
-        """``boundary_edges(self)``, found once: it depends only on the immutable faces."""
-        bad = boundary_edges(self)
-        bad.flags.writeable = False
+        """``boundary_edges(self)``."""
+        bad = self._topology.get("boundary")
+        if bad is None:
+            bad = boundary_edges(self)
+            bad.flags.writeable = False
+            self._topology["boundary"] = bad
         return bad
+
+    @property
+    def _face_text(self) -> str:
+        """The OBJ ``f`` records of the faces, 1-based, one line each."""
+        text = self._topology.get("face_text")
+        if text is None:
+            text = ("f %d %d %d\n" * self.n_faces) % tuple((self.faces + 1).ravel().tolist())
+            self._topology["face_text"] = text
+        return text
 
     def face_areas(self) -> np.ndarray:
         tri = self.triangle_corners()
@@ -95,14 +112,6 @@ class TriMesh:
 
     def same_topology(self, other: "TriMesh") -> bool:
         return self.n_vertices == other.n_vertices and np.array_equal(self.faces, other.faces)
-
-
-def check_face_indices(faces: np.ndarray, n_vertices: int) -> None:
-    """Raise DataError unless every index in ``faces`` lies in [0, n_vertices)."""
-    if faces.min() < 0 or faces.max() >= n_vertices:
-        raise DataError(
-            f"face index out of range: indices span [{faces.min()}, {faces.max()}] for {n_vertices} vertices"
-        )
 
 
 @dataclass(frozen=True)
@@ -228,15 +237,15 @@ def save_mesh(mesh: TriMesh, path) -> None:
     """Write a TriMesh as ASCII OBJ.
 
     Coordinates are written with ``repr`` so a save/load round trip
-    reproduces vertices bit-exactly. Each record kind is one ``%`` format over
-    all its rows. Formatting ``float.__repr__`` strings with ``%s`` writes the
-    same bytes but is no faster: ``float.__repr__`` itself is nearly all of
-    the time, and calling it through the slot wrapper cost 1-5% more than
-    ``%r`` on a 2,562-vertex mesh (CPython 3.11).
+    reproduces vertices bit-exactly. The vertex records are one ``%`` format
+    over all rows; the face records are the mesh's `_face_text`, formatted
+    the same way once per topology. Formatting ``float.__repr__`` strings
+    with ``%s`` writes the same bytes but is no faster: ``float.__repr__``
+    itself is nearly all of the time, and calling it through the slot
+    wrapper cost 1-5% more than ``%r`` on a 2,562-vertex mesh (CPython 3.11).
     """
     text = ("v %r %r %r\n" * mesh.n_vertices) % tuple(mesh.vertices.ravel().tolist())
-    text += ("f %d %d %d\n" * mesh.n_faces) % tuple((mesh.faces + 1).ravel().tolist())
-    sidecar.write(path, text.encode("ascii"))
+    sidecar.write(path, (text + mesh._face_text).encode("ascii"))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import sidecar
 from .errors import DataError, NumericalError
-from .mesh import TriMesh, check_face_indices
+from .mesh import TriMesh
 
 # Score scales use the population std (divisor N): with centred rows the
 # k-th singular value satisfies sigma_k = s_k / sqrt(N).
@@ -54,7 +54,7 @@ class ShapeSpace:
             raise DataError("mean length must be a multiple of 3")
         if faces.ndim != 2 or faces.shape[1] != 3 or len(faces) < 1:
             raise DataError(f"faces must be an (F, 3) array with F >= 1, got shape {faces.shape}")
-        check_face_indices(faces, mean.size // 3)
+        template = TriMesh(mean.reshape(-1, 3), faces)  # checks the faces and that the mean is finite
         if comp.shape != (mean.size, scale.size):
             raise DataError(
                 f"component matrix shape {comp.shape} inconsistent with mean ({mean.size}) "
@@ -71,12 +71,13 @@ class ShapeSpace:
         gram = comp.T @ comp
         if not np.allclose(gram, np.eye(scale.size), atol=1e-9):
             raise NumericalError("components are not orthonormal")
-        for arr in (mean, comp, scale, faces):
+        for arr in (mean, comp, scale):
             arr.flags.writeable = False
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "components", comp)
         object.__setattr__(self, "score_scale", scale)
-        object.__setattr__(self, "faces", faces)
+        object.__setattr__(self, "faces", template.faces)
+        object.__setattr__(self, "_mean_mesh", template)
 
     @property
     def n_vertices(self) -> int:
@@ -87,7 +88,8 @@ class ShapeSpace:
         return self.score_scale.size
 
     def mean_mesh(self) -> TriMesh:
-        return TriMesh(self.mean.reshape(-1, 3), self.faces)
+        """The mean shape, one mesh per space: every reconstruction shares its topology values."""
+        return self._mean_mesh
 
 
 def build_ssm(population: list[TriMesh], n_components: int) -> ShapeSpace:
@@ -154,7 +156,7 @@ def reconstruct(space: ShapeSpace, params: np.ndarray) -> TriMesh:
     if not np.isfinite(alpha).all():
         raise DataError("shape parameters must be finite")
     flat = space.mean + space.components @ (space.score_scale * alpha)
-    return TriMesh(flat.reshape(-1, 3), space.faces)
+    return space.mean_mesh().with_vertices(flat.reshape(-1, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -180,17 +182,33 @@ def _ssm_shapes(manifest: dict) -> dict:
     return {"mean": (3 * m,), "components": (k, 3 * m), "score_scale": (k,)}
 
 
+# The last shape space loaded, with the manifest and payload bytes it was built
+# from. Only a load that passed every check fills it.
+_last_load: tuple[bytes, bytes, ShapeSpace] | None = None
+
+
 def load_ssm(path) -> ShapeSpace:
     """Load a manifest/sidecar pair written by save_ssm.
 
     Fails loudly (no partial object) on version mismatch, a manifest without
     ``faces`` or ``n_population`` or with values no shape space accepts,
-    truncated payload or manifest/payload dimension inconsistencies. The
-    arrays are read-only views of the memory-mapped sidecar.
+    truncated payload or manifest/payload dimension inconsistencies. Both
+    files are read whole; the arrays are read-only views of the payload bytes.
+    A load of the same bytes as the last good load, under any path, returns
+    that same (immutable) space without decoding them again. That saves work
+    only when one process loads a space more than once, as a script calling
+    `pipeline.cmd_reconstruct` once per stack does; a CLI command loads once.
     """
-    manifest, arrays = sidecar.load(path, "ssm", "shape space", _ssm_shapes, ("faces", "n_population"))
+    global _last_load
+    manifest_bytes, payload = sidecar.read(path, "ssm", "shape space")
+    last = _last_load
+    if last is not None and last[0] == manifest_bytes and last[1] == payload:
+        return last[2]
+    manifest, arrays = sidecar.decode(
+        path, "ssm", "shape space", manifest_bytes, payload, _ssm_shapes, ("faces", "n_population")
+    )
     try:
-        return ShapeSpace(
+        space = ShapeSpace(
             arrays["mean"],
             arrays["components"].T,
             arrays["score_scale"],
@@ -199,3 +217,5 @@ def load_ssm(path) -> ShapeSpace:
         )
     except (DataError, TypeError, ValueError) as exc:
         raise DataError(f"shape space manifest {sidecar._paths(path, 'ssm')[0]} is malformed: {exc!r}") from exc
+    _last_load = (manifest_bytes, payload, space)
+    return space

@@ -6,8 +6,8 @@ Shape spaces (``<stem>.ssm.json`` / ``.ssm.bin``) and regressor weights
 ``payload``, the byte offset and value count of each array in the sidecar.
 
 Every JSON file the toolkit writes is stamped with ``format_version`` by
-`write_json`, and `read_manifest`, which reads them all back, rejects any
-other version.
+`write_json`, and `read_manifest` (`decode` for a pair's manifest), which
+reads them all back, rejects any other version.
 Every file the toolkit writes goes through `write` or `save`: each writer
 fills a temp file of its own next to the target and renames it into place,
 so a crash never leaves a torn file, two writers of one path leave one
@@ -15,13 +15,20 @@ writer's complete bytes, and a process still mapping the old payload keeps
 reading the old bytes. `save` holds one lock across its two renames, so
 within a process the last writer of a stem wins both files; two processes
 saving one stem at once can still leave a pair from different writers,
-which `load` rejects when their sizes differ. The payload is read through one read-only memory
-map; loaded arrays are views into it, not copies.
+which the readers reject when their sizes differ.
+
+A pair is read back in one of two ways, and `decode` checks it either way.
+`load` memory-maps the payload read-only, and is how the regressor weights
+are read, checked afresh on every load. `read` takes both files whole as
+bytes, which `shape_space.load_ssm` keeps as the key of its one-slot memo, so
+a repeat load of identical bytes returns the space already checked. Loaded
+arrays are read-only views into the map or the bytes, not copies.
 """
 from __future__ import annotations
 
 import json
 import math
+import mmap
 import os
 import re
 import threading
@@ -74,6 +81,13 @@ def write_json(path, doc: dict) -> None:
     write(path, json.dumps(stamped, sort_keys=True, separators=(",", ":")).encode("utf-8"))
 
 
+def _read(path, label: str) -> bytes:
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read {label} {path}: {exc}") from exc
+
+
 def read_manifest(path, label: str, keys=()) -> dict:
     """The JSON object in ``path``, of this ``format_version`` and holding each of ``keys``.
 
@@ -81,9 +95,14 @@ def read_manifest(path, label: str, keys=()) -> dict:
     ``format_version`` or lacks a key raises DataError naming the ``label``,
     the file and the version or key.
     """
+    return _parse_manifest(_read(path, label), path, label, keys)
+
+
+def _parse_manifest(data: bytes, path, label: str, keys) -> dict:
+    """`read_manifest` of a file that held ``data``."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        doc = json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read {label} {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise DataError(f"{label} {path} is not a JSON object")
@@ -113,17 +132,37 @@ def save(path, kind: str, header: dict, arrays: list[tuple[str, np.ndarray]]) ->
     return manifest_path, payload_path
 
 
-def load(path, kind: str, label: str, shapes, keys=()) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a manifest/sidecar pair written by ``save``.
+def read(path, kind: str, label: str) -> tuple[bytes, bytes]:
+    """The manifest and the payload of a pair written by ``save``, each read whole as bytes, unchecked."""
+    manifest_path, payload_path = _paths(path, kind)
+    return _read(manifest_path, f"{label} manifest"), _read(payload_path, f"{label} payload")
 
-    ``shapes(manifest)`` gives the row-major shape each array must have, and
-    the manifest must hold each header field in ``keys``.
-    Returns the manifest and read-only float64 views into the mapped payload.
-    Fails loudly (no partial object) on a version mismatch, counts that
-    disagree with the dimensions, or a payload of the wrong size.
+
+def load(path, kind: str, label: str, shapes, keys=()) -> tuple[dict, dict[str, np.ndarray]]:
+    """`decode` of a pair written by ``save``, with its payload memory-mapped."""
+    manifest_path, payload_path = _paths(path, kind)
+    manifest_bytes = _read(manifest_path, f"{label} manifest")
+    try:
+        with open(payload_path, "rb") as fh:  # the map outlives the descriptor; an empty file cannot be mapped
+            size = os.fstat(fh.fileno()).st_size
+            buffer = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) if size else b""
+    except (OSError, ValueError) as exc:
+        raise DataError(f"cannot read {label} payload {payload_path}: {exc}") from exc
+    return decode(path, kind, label, manifest_bytes, buffer, shapes, keys)
+
+
+def decode(path, kind: str, label: str, manifest_bytes: bytes, buffer, shapes, keys=()) -> tuple[dict, dict]:
+    """Check a pair written by ``save``, given its manifest bytes and a buffer holding its payload.
+
+    ``path`` names the pair in errors. ``shapes(manifest)`` gives the
+    row-major shape each array must have, and the manifest must hold each
+    header field in ``keys``. Returns the manifest and read-only float64
+    views into ``buffer``. Fails loudly (no partial object) on a version
+    mismatch, counts that disagree with the dimensions, or a payload of the
+    wrong size.
     """
     manifest_path, payload_path = _paths(path, kind)
-    manifest = read_manifest(manifest_path, f"{label} manifest", keys)
+    manifest = _parse_manifest(manifest_bytes, manifest_path, f"{label} manifest", keys)
     try:
         expected = shapes(manifest)
         payload = manifest["payload"]
@@ -142,19 +181,12 @@ def load(path, kind: str, label: str, shapes, keys=()) -> tuple[dict, dict[str, 
                 f"dimensions require {math.prod(shape)}"
             )
     total = _ITEM * sum(count for _, count in layout.values())
-    try:
-        size = os.stat(payload_path).st_size
-    except OSError as exc:
-        raise DataError(f"cannot read {label} payload {payload_path}: {exc}") from exc
-    if size != total:
-        raise DataError(f"{label} payload {payload_path} is {size} bytes, expected {total} (truncated or stale)")
+    if len(buffer) != total:
+        raise DataError(f"{label} payload {payload_path} is {len(buffer)} bytes, expected {total} (truncated or stale)")
     for name, (offset, count) in layout.items():
         if offset < 0 or offset % _ITEM or offset + _ITEM * count > total:
             raise DataError(f"{label} payload slice for {name!r} out of bounds")
-    try:
-        raw = np.asarray(np.memmap(payload_path, dtype=_DTYPE, mode="r", shape=(total // _ITEM,)))
-    except (OSError, ValueError) as exc:
-        raise DataError(f"cannot map {label} payload {payload_path}: {exc}") from exc
+    raw = np.frombuffer(buffer, dtype=_DTYPE)
     views = {
         name: raw[offset // _ITEM : offset // _ITEM + count].reshape(expected[name])
         for name, (offset, count) in layout.items()

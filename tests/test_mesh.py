@@ -326,6 +326,17 @@ def test_closedness_found_once_per_topology(monkeypatch):
     assert len(found) == 1
 
 
+def test_with_vertices_shares_closedness_and_face_text():
+    sphere = M.icosphere(10.0, 2)
+    bad, text = sphere._boundary, sphere._face_text
+    moved = sphere.with_vertices(2.0 * sphere.vertices)
+    assert moved._boundary is bad and moved._face_text is text
+    coarse = M.icosphere(10.0, 1)
+    copy = coarse.with_vertices(coarse.vertices + 1.0)
+    text = copy._face_text  # found on the copy, kept for the mesh it came from
+    assert coarse._face_text is text
+
+
 def test_volume_rigid_invariance(icosphere10):
     rng = np.random.default_rng(4)
     base = M.signed_volume(icosphere10)

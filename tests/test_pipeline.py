@@ -677,6 +677,31 @@ def test_shape_space_faces_not_triangles_exit_without_traceback(small_run, tmp_p
         assert f"faces must be an (F, 3) array with F >= 1, got shape ({len(doc['faces'])}, {width})" in done.stderr
 
 
+def test_non_finite_shape_space_mean_is_data_error_in_every_stage(small_run, tmp_path, capsys):
+    root = shutil.copytree(small_run[0], tmp_path / "run")
+    payload = root / "out" / "model.ssm.bin"  # the mean is the payload's first array
+    payload.write_bytes(np.array([np.nan], dtype="<f8").tobytes() + payload.read_bytes()[8:])
+    config = str(root / "config.json")
+    sid = pipeline.split_ids(load_config(config))[1][0]
+    for command, *rest in (["train"], ["evaluate"], ["reconstruct", "--subject", sid]):
+        assert main([command, "--config", config, *rest]) == 2
+        err = capsys.readouterr().err
+        assert "model.ssm.json is malformed" in err and "non-finite vertex coordinate" in err
+
+
+def test_degenerate_shape_space_face_is_data_error_at_load(small_run, tmp_path, capsys):
+    """A face with a repeated vertex index is refused when the space loads, naming its manifest."""
+    root = shutil.copytree(small_run[0], tmp_path / "run")
+    path = root / "out" / "model.ssm.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "faces": [[0, 0, 1]]}))
+    config = str(root / "config.json")
+    sid = pipeline.split_ids(load_config(config))[1][0]
+    for command, *rest in (["train"], ["evaluate"], ["reconstruct", "--subject", sid]):
+        assert main([command, "--config", config, *rest]) == 2
+        err = capsys.readouterr().err
+        assert "model.ssm.json is malformed" in err and "degenerate face" in err
+
+
 @pytest.mark.parametrize("threads", ["-3", "0"])
 def test_thread_cap_below_one_is_config_error(small_run, tmp_path, monkeypatch, capsys, threads):
     """A cap below 1 is not read as 1: each command that would start a pool exits 1 and writes nothing."""

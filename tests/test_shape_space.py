@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import save_mesh_by_lines
 from ssmrecon import mesh as M
-from ssmrecon import metrics
+from ssmrecon import metrics, shape_space
 from ssmrecon.errors import DataError, NumericalError
 from ssmrecon.shape_space import build_ssm, load_ssm, project, reconstruct, save_ssm
 
@@ -88,6 +89,29 @@ def test_full_rank_space_reproduces_members(aligned_population_20):
 def test_zero_parameters_give_mean(space20):
     mesh = reconstruct(space20, np.zeros(space20.n_components))
     assert np.array_equal(mesh.vertices.ravel(), space20.mean)
+
+
+def test_saved_reconstruction_is_the_bytes_of_a_fresh_mesh(tmp_path, space20):
+    rng = np.random.default_rng(3)
+    for _ in range(2):  # the second save writes the face text the first one found
+        mesh = reconstruct(space20, rng.standard_normal(space20.n_components))
+        M.save_mesh(mesh, tmp_path / "recon.obj")
+        save_mesh_by_lines(M.TriMesh(mesh.vertices, space20.faces), tmp_path / "fresh.obj")
+        assert (tmp_path / "recon.obj").read_bytes() == (tmp_path / "fresh.obj").read_bytes()
+
+
+def test_reconstructions_find_closedness_once_per_loaded_space(tmp_path, space20, monkeypatch):
+    found = []
+    real = M.boundary_edges
+    monkeypatch.setattr(M, "boundary_edges", lambda mesh: found.append(mesh) or real(mesh))
+    monkeypatch.setattr(shape_space, "_last_load", None)  # no space kept from an earlier load
+    save_ssm(space20, tmp_path / "model")
+    rng = np.random.default_rng(5)
+    for _ in range(2):
+        space = load_ssm(tmp_path / "model")
+        for _ in range(3):
+            M.signed_volume(reconstruct(space, 0.1 * rng.standard_normal(space.n_components)))
+    assert len(found) == 1
 
 
 def test_one_hot_parameter_adds_scaled_component(space20):

@@ -58,6 +58,67 @@ def test_overwrite_keeps_loaded_shape_space(tmp_path, space20, aligned_populatio
     assert not list(tmp_path.glob("*.tmp"))
 
 
+def test_repeat_load_of_unchanged_files_is_the_same_space(tmp_path, space20):
+    save_ssm(space20, tmp_path / "model")
+    assert load_ssm(tmp_path / "model") is load_ssm(tmp_path / "model.ssm.json")
+
+
+def test_identical_bytes_under_two_paths_give_the_same_space(tmp_path, space20):
+    save_ssm(space20, tmp_path / "a" / "model")
+    (tmp_path / "b").mkdir()
+    for name in ("model.ssm.json", "model.ssm.bin"):
+        (tmp_path / "b" / name).write_bytes((tmp_path / "a" / name).read_bytes())
+    assert load_ssm(tmp_path / "b" / "model") is load_ssm(tmp_path / "a" / "model")
+
+
+def test_in_place_rewrite_of_one_payload_value_is_seen(tmp_path, space20):
+    """Same size, same path, no rename and the old timestamps: only the bytes tell the loads apart."""
+    save_ssm(space20, tmp_path / "model")
+    payload = tmp_path / "model.ssm.bin"
+    before = load_ssm(tmp_path / "model")
+    stat = os.stat(payload)
+    with open(payload, "r+b") as fh:  # mean[0] is the payload's first value
+        fh.write(np.array([space20.mean[0] + 1.0], dtype="<f8").tobytes())
+    os.utime(payload, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    after = load_ssm(tmp_path / "model")
+    assert after.mean[0] == space20.mean[0] + 1.0
+    assert before.mean[0] == space20.mean[0]
+    assert np.array_equal(after.mean[1:], space20.mean[1:])
+
+
+def test_corrupt_manifest_after_good_load_is_data_error(tmp_path, space20):
+    save_ssm(space20, tmp_path / "model")
+    load_ssm(tmp_path / "model")
+    manifest = tmp_path / "model.ssm.json"
+    manifest.write_bytes(manifest.read_bytes()[:-1])
+    with pytest.raises(DataError, match="cannot read shape space manifest"):
+        load_ssm(tmp_path / "model")
+
+
+def test_failed_load_is_not_kept(tmp_path, space20):
+    save_ssm(space20, tmp_path / "model")
+    first = load_ssm(tmp_path / "model")
+    payload = tmp_path / "model.ssm.bin"
+    good = payload.read_bytes()
+    payload.write_bytes(np.array([np.nan], dtype="<f8").tobytes() + good[8:])
+    for _ in range(2):
+        with pytest.raises(DataError, match="non-finite vertex coordinate"):
+            load_ssm(tmp_path / "model")
+    payload.write_bytes(good)
+    assert load_ssm(tmp_path / "model") is first
+
+
+def test_missing_payload_is_named_before_the_manifest_is_checked(tmp_path, space20):
+    """Both files of a pair are read before either is checked: a missing payload is the error even beside a bad manifest."""
+    save_ssm(space20, tmp_path / "model")
+    save_weights(init_params(20, 6, 4, seed=8), tmp_path / "net")
+    for stem, kind, load, label in (("model", "ssm", load_ssm, "shape space"), ("net", "mlp", load_weights, "weights")):
+        (tmp_path / f"{stem}.{kind}.json").write_text("{")
+        (tmp_path / f"{stem}.{kind}.bin").unlink()
+        with pytest.raises(DataError, match=rf"cannot read {label} payload .*{stem}\.{kind}\.bin"):
+            load(tmp_path / stem)
+
+
 def test_nan_in_weight_payload_rejected(tmp_path):
     save_weights(init_params(20, 6, 4, seed=8), tmp_path / "net")
     payload = tmp_path / "net.mlp.bin"

@@ -113,7 +113,9 @@ def _build_section(name: str, cls, payload: dict):
     converted = {}
     for key, value in payload.items():
         default = defaults[key]
-        if isinstance(default, tuple) and isinstance(value, list):
+        if isinstance(default, tuple):
+            if not isinstance(value, list):
+                raise ConfigError(f"bad value in section {name!r}: {key} must be a list, got {value!r}")
             kind, items = type(default[0]), value  # each element takes the type of the default's elements
         else:
             kind, items = type(default), [value]

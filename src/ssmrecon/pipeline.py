@@ -152,17 +152,19 @@ def cmd_slice(cfg: PipelineConfig) -> list[Path]:
     return _parallel_map(slice_one, ids)
 
 
-def _load_stack(cfg: PipelineConfig, sid: str) -> MaskStack:
+def _load_stack(cfg: PipelineConfig, sid: str, protocol: SliceProtocol) -> MaskStack:
+    """Subject ``sid``'s mask stack, checked against the command's one ``protocol``."""
     manifest = cfg.masks_dir / sid / STACK_MANIFEST
     if not manifest.exists():
         raise DataError(f"mask stack not found: {manifest} (run slice first)")
-    return load_mask_stack(manifest, _protocol(cfg))
+    return load_mask_stack(manifest, protocol)
 
 
 def cmd_train(cfg: PipelineConfig) -> Path:
     """Train the regressor on training-split masks and projected targets."""
     space = shape_space.load_ssm(cfg.ssm_stem)
     train_ids, _ = split_ids(cfg)
+    protocol = _protocol(cfg)
     reg_dir = _registered_dir(cfg)
     dataset = []
     for sid in train_ids:
@@ -170,7 +172,7 @@ def cmd_train(cfg: PipelineConfig) -> Path:
         if not reg_path.exists():
             raise DataError(f"registered mesh not found: {reg_path} (run build-ssm first)")
         target = shape_space.project(space, load_mesh(reg_path))
-        dataset.append((_load_stack(cfg, sid), target))
+        dataset.append((_load_stack(cfg, sid, protocol), target))
 
     params, log = regressor.train(dataset, cfg.train)
     manifest_path, _ = regressor.save_weights(params, cfg.weights_stem)
@@ -215,7 +217,7 @@ def cmd_reconstruct(cfg: PipelineConfig, subject: str | None = None, stack_path=
     if (subject is None) == (stack_path is None):
         raise ConfigError("reconstruct needs exactly one of --subject or --stack")
     if subject is not None:
-        stack = _load_stack(cfg, synth.check_subject_id(subject))
+        stack = _load_stack(cfg, synth.check_subject_id(subject), _protocol(cfg))
     else:
         stack = load_mask_stack(stack_path, _protocol(cfg))
         subject = Path(stack_path).resolve().parent.name
@@ -241,6 +243,7 @@ def cmd_evaluate(cfg: PipelineConfig) -> tuple[Path, Path]:
         )
     space = shape_space.load_ssm(cfg.ssm_stem)
     params = regressor.load_weights(cfg.weights_stem)
+    protocol = _protocol(cfg)
     manifest = synth.load_population_manifest(cfg.population_dir)
     truth_volumes = {sid: _truth_volume(cfg, manifest, sid) for sid in test_ids}
     baseline_mesh = space.mean_mesh()
@@ -251,7 +254,7 @@ def cmd_evaluate(cfg: PipelineConfig) -> tuple[Path, Path]:
 
     def eval_one(sid: str) -> dict:
         truth = metrics.sampled_surface(_subject_mesh(cfg, sid), n_samples, seed)
-        pred_mesh, pred_volume = _predict(space, params, _load_stack(cfg, sid), sid)
+        pred_mesh, pred_volume = _predict(space, params, _load_stack(cfg, sid, protocol), sid)
         pred = metrics.mesh_metrics(pred_mesh, truth, n_samples, seed)
         base = metrics.mesh_metrics(baseline, truth, n_samples, seed)
         return {

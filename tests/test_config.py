@@ -133,6 +133,11 @@ def test_bad_slicer_offsets_rejected_at_load(tmp_path, offsets):
         ("synth", "volume_range", [True, 1600]),
         ("synth", "volume_range", [800, "1600"]),
         ("slicer", "offsets", ["0.4", 0.6]),
+        # a list-valued key takes only a JSON array
+        ("synth", "jitter_levels", "34"),
+        ("synth", "jitter_levels", {"3": 1}),
+        ("synth", "volume_range", 900),
+        ("slicer", "offsets", 0.5),
     ],
 )
 def test_value_of_wrong_type_rejected_at_load(tmp_path, section, key, value):

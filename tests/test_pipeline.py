@@ -122,7 +122,7 @@ def test_components_clamped_to_population(small_run):
 def test_mask_stacks_exist_for_all_subjects(small_run):
     _, cfg, _, _ = small_run
     for sid in pipeline.population_ids(cfg):
-        stack = pipeline._load_stack(cfg, sid)
+        stack = pipeline._load_stack(cfg, sid, pipeline._protocol(cfg))
         assert len(stack.masks) == 3
         assert stack.masks[0].shape == (48, 48)
 
@@ -258,6 +258,21 @@ def test_stacks_sliced_before_a_new_window_are_data_errors(small_run, tmp_path, 
     assert f"mask stack {root / 'out' / 'masks' / 's000' / 'stack.json'}: " in err
 
 
+@pytest.mark.parametrize("command", [pipeline.cmd_train, pipeline.cmd_evaluate], ids=["train", "evaluate"])
+def test_window_read_once_per_command(small_run, tmp_path, monkeypatch, command):
+    """Every stack of one command is checked against one slicing protocol, read once."""
+    cfg = load_config(shutil.copytree(small_run[0], tmp_path / "run") / "config.json")
+    load_window, calls = pipeline._load_window, []
+
+    def counting_load_window(cfg):
+        calls.append(cfg)
+        return load_window(cfg)
+
+    monkeypatch.setattr(pipeline, "_load_window", counting_load_window)
+    command(cfg)
+    assert len(calls) == 1
+
+
 def test_stack_checked_against_the_protocol(small_run, tmp_path, capsys):
     root = shutil.copytree(small_run[0], tmp_path / "run")
     cfg_path = root / "config.json"
@@ -313,7 +328,8 @@ def test_reconstruct_checks_each_new_weights_version(small_run, tmp_path):
     new = regressor.MlpParams(old.w1, old.b1, 1.5 * old.w2, old.b2 + 0.25)
     save_weights(new, cfg.weights_stem)
     _, volume = pipeline.cmd_reconstruct(cfg, subject=sid)
-    expected = reconstruct(load_ssm(cfg.ssm_stem), regressor.forward(new, pipeline._load_stack(cfg, sid)))
+    stack = pipeline._load_stack(cfg, sid, pipeline._protocol(cfg))
+    expected = reconstruct(load_ssm(cfg.ssm_stem), regressor.forward(new, stack))
     assert volume != old_volume
     assert volume == signed_volume(expected)
 
@@ -500,7 +516,7 @@ def test_undecodable_config_and_population_exit_without_traceback(tmp_path):
         ("population/population.json", pipeline.population_ids),
         ("out/model.ssm.json", lambda cfg: load_ssm(cfg.ssm_stem)),
         ("out/weights.mlp.json", lambda cfg: load_weights(cfg.weights_stem)),
-        ("out/masks/s000/stack.json", lambda cfg: pipeline._load_stack(cfg, "s000")),
+        ("out/masks/s000/stack.json", lambda cfg: pipeline._load_stack(cfg, "s000", pipeline._protocol(cfg))),
         ("out/model.window.json", pipeline._load_window),
     ],
     ids=["mesh", "population", "shape-space", "weights", "stack", "window"],
@@ -704,13 +720,13 @@ def test_degenerate_shape_space_face_is_data_error_at_load(small_run, tmp_path, 
 
 @pytest.mark.parametrize("threads", ["-3", "0"])
 def test_thread_cap_below_one_is_config_error(small_run, tmp_path, monkeypatch, capsys, threads):
-    """A cap below 1 is not read as 1: each command that would start a pool exits 1 and writes nothing."""
+    """A cap below 1 is not read as 1: each command exits 1 and writes nothing, whether or not it starts a pool."""
     root = shutil.copytree(small_run[0], tmp_path / "run")
     before = tree_digests(root)
     monkeypatch.setenv("SSMRECON_THREADS", threads)
     with pytest.raises(ConfigError, match=f"SSMRECON_THREADS must be >= 1, got '{threads}'"):
         thread_count()
-    for command in ("slice", "train", "evaluate"):
+    for command in ("synth", "slice", "train", "evaluate"):
         assert main([command, "--config", str(root / "config.json")]) == 1, command
         err = capsys.readouterr().err
         assert err.startswith("config error: SSMRECON_THREADS must be >= 1") and "Traceback" not in err

@@ -14,7 +14,6 @@ import sys
 from . import pipeline
 from .config import load_config
 from .errors import ConfigError, DataError, NumericalError
-from .threads import thread_count
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -55,7 +54,6 @@ def _run(args) -> int:
         return EXIT_OK if ok else EXIT_NUMERICAL
 
     cfg = load_config(args.config)
-    thread_count()  # a bad SSMRECON_THREADS fails every config command, before it writes anything
     if args.command == "synth":
         manifest = pipeline.cmd_synth(cfg)
         print(f"population written: {manifest}")

@@ -1,4 +1,4 @@
-"""The thread cap, ``SSMRECON_THREADS``, and the capped pool that runs pipeline's per-subject steps."""
+"""The thread cap, ``SSMRECON_THREADS``, and the capped pool every parallel step uses."""
 from __future__ import annotations
 
 import os

